@@ -170,17 +170,12 @@ and 'a group = {
   mutable g_eps : 'a t array;
 }
 
-let join_debug = Sys.getenv_opt "BCAST_JOIN_DEBUG" <> None
-
 let audit_cls = function
   | Msg_id.Reliable -> Audit.Event.R
   | Msg_id.Causal -> Audit.Event.C
   | Msg_id.Total -> Audit.Event.T
 
 let a_now t = Sim.Engine.now t.group.g_engine
-
-let jdbg fmt =
-  if join_debug then Format.eprintf fmt else Format.ifprintf Format.err_formatter fmt
 
 let engine group = group.g_engine
 let n_sites group = group.g_n
@@ -506,7 +501,6 @@ and member_apply_join_commit t jc =
   if not (Site_id.equal jc.jc_joiner t.me) then begin
     force_apply_window t ~joiner:jc.jc_joiner ~r_base:jc.jc_r_base
       ~c_base:jc.jc_c_base jc.jc_window;
-    jdbg "[%d] UNFREEZE %d (commit) buffer=%d@." t.me jc.jc_joiner (List.length t.frozen_buffer);
     t.frozen <- Site_id.Set.remove jc.jc_joiner t.frozen;
     replay_frozen t jc.jc_joiner;
     let v =
@@ -591,14 +585,12 @@ and start_join t ~joiner =
   match t.pending_join with
   | Some _ -> ()  (* one join at a time; the joiner retries *)
   | None ->
-    jdbg "[%d] START JOIN for %d@." t.me joiner;
     let join_id = fresh_id t in
     t.pending_join <- Some { join_id; joiner; reports = [] };
     broadcast_wire t (Join_query { join_id; joiner })
 
 and handle_join_query t ~src ~join_id ~joiner =
   if t.initialized && not (Site_id.equal joiner t.me) then begin
-    jdbg "[%d] FREEZE %d (join %d)@." t.me joiner join_id;
     t.frozen <- Site_id.Set.add joiner t.frozen;
     let r_next = Fifo_state.expected t.fifo ~origin:joiner in
     let c_count = Vc.get (Delay_queue.delivered_vc t.delay) joiner in
@@ -632,7 +624,6 @@ and maybe_finalize_join t =
   | None -> ()
 
 and finalize_join t join =
-  jdbg "[%d] FINALIZE JOIN for %d@." t.me join.joiner;
   let r_base =
     List.fold_left (fun acc (_, r, _, _) -> Stdlib.max acc r) 0 join.reports
   and c_base =
@@ -833,7 +824,6 @@ and handle_initialized ?rx t ~src wire =
     | Some _ | None -> ()
   end
   | Join_request ->
-    jdbg "[%d] JOIN_REQUEST from %d (coord=%d)@." t.me src (View.coordinator t.view);
     if Site_id.equal (View.coordinator t.view) t.me then start_join t ~joiner:src
   | Join_query { join_id; joiner } -> handle_join_query t ~src ~join_id ~joiner
   | Join_report { join_id; r_next; c_count; recent } ->

@@ -103,17 +103,6 @@ let partition t sites = Endpoint.partition t.group sites
 let heal t = Endpoint.heal t.group
 let set_loss t loss = Endpoint.set_loss t.group loss
 
-let trace_txn =
-  match Sys.getenv_opt "REPDB_TRACE_TXN" with
-  | Some v -> (match String.split_on_char '.' v with
-    | [o; l] -> Some (Txn_id.make ~origin:(int_of_string o) ~local:(int_of_string l))
-    | _ -> None)
-  | None -> None
-
-let tracef txn fmt =
-  if trace_txn = Some txn then Format.eprintf fmt
-  else Format.ifprintf Format.err_formatter fmt
-
 let part_of st ~txn ~origin =
   match Txn_id.Tbl.find_opt st.part txn with
   | Some p -> p
@@ -161,8 +150,6 @@ let drop_lock_stamps st txn =
 
 let abort_at t st p ~reason =
   if not p.p_decided then begin
-    tracef p.p_txn "ABORT at site %d (nacks=%s)@." (Site_core.site st.core)
-      (String.concat "," (List.map string_of_int (Site_id.Set.elements p.p_nacks)));
     p.p_decided <- true;
     drop_lock_stamps st p.p_txn;
     Site_core.abort_local st.core ~txn:p.p_txn;
@@ -173,9 +160,6 @@ let abort_at t st p ~reason =
 
 let commit_at t st p =
   if not p.p_decided then begin
-    tracef p.p_txn "COMMIT at site %d (nacks=%s refused=%b)@." (Site_core.site st.core)
-      (String.concat "," (List.map string_of_int (Site_id.Set.elements p.p_nacks)))
-      p.p_refused;
     p.p_decided <- true;
     drop_lock_stamps st p.p_txn;
     Site_core.apply_commit st.core ~txn:p.p_txn;
@@ -252,13 +236,11 @@ let send_nack st p =
 
 let handle_write t st ~txn ~origin ~key ~value ~stamp =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: write key=%d decided=%b@." (Site_core.site st.core) key p.p_decided;
   if not p.p_decided then begin
     Site_core.buffer_write st.core ~txn key value;
     match Site_core.acquire_write st.core ~txn key ~on_granted:(fun () -> ()) with
     | Db.Lock_manager.Granted -> Hashtbl.replace st.lock_stamp key (txn, stamp)
     | Db.Lock_manager.Refused ->
-      tracef txn "site %d: REFUSED key=%d@." (Site_core.site st.core) key;
       p.p_refused <- true;
       send_nack st p;
       (* Early conflict detection: if the conflicting writes are concurrent
@@ -297,8 +279,6 @@ let handle_commit_req t st ~txn ~origin ~stamp ~participants =
   let p = part_of st ~txn ~origin in
   if not p.p_decided then begin
     p.p_cr <- Some stamp;
-    tracef txn "site %d: cr participants=[%s]@." (Site_core.site st.core)
-      (String.concat "," (List.map string_of_int participants));
     p.p_participants <- Site_id.Set.of_list participants;
     (* The origin's broadcast phase ends when its own commit request comes
        back; from here it is waiting for implicit acknowledgments. *)
@@ -340,13 +320,10 @@ let note_nack t st p ~nacker ~witnesses =
 
 let handle_nack t st ~txn ~origin ~sender =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: NACK from %d (decided=%b)@." (Site_core.site st.core) sender p.p_decided;
   if not p.p_decided then note_nack t st p ~nacker:sender ~witnesses:[ sender ]
 
 let handle_nack_echo t st ~txn ~origin ~nacker ~sender =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: NACK-echo of %d from %d (decided=%b)@."
-    (Site_core.site st.core) nacker sender p.p_decided;
   if not p.p_decided then
     note_nack t st p ~nacker ~witnesses:[ nacker; sender ]
 

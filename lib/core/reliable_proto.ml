@@ -106,17 +106,6 @@ let partition t sites = Endpoint.partition t.group sites
 let heal t = Endpoint.heal t.group
 let set_loss t loss = Endpoint.set_loss t.group loss
 
-let trace_txn =
-  match Sys.getenv_opt "REPDB_TRACE_TXN" with
-  | Some v -> (match String.split_on_char '.' v with
-    | [o; l] -> Some (Txn_id.make ~origin:(int_of_string o) ~local:(int_of_string l))
-    | _ -> None)
-  | None -> None
-
-let tracef txn fmt =
-  if trace_txn = Some txn then Format.eprintf fmt
-  else Format.ifprintf Format.err_formatter fmt
-
 let part_of st ~txn ~origin =
   match Txn_id.Tbl.find_opt st.part txn with
   | Some p -> p
@@ -149,7 +138,6 @@ let finish_at_origin t st txn outcome =
 
 let abort_at t st p ~reason =
   if not p.p_decided then begin
-    tracef p.p_txn "ABORT at site %d@." (Site_core.site st.core);
     p.p_decided <- true;
     p.p_committed <- false;
     Site_core.abort_local st.core ~txn:p.p_txn;
@@ -160,7 +148,6 @@ let abort_at t st p ~reason =
 
 let commit_at t st p =
   if not p.p_decided then begin
-    tracef p.p_txn "COMMIT at site %d@." (Site_core.site st.core);
     p.p_decided <- true;
     p.p_committed <- true;
     Site_core.apply_commit st.core ~txn:p.p_txn;
@@ -215,7 +202,6 @@ let cast_vote ?(recast = false) st p =
 
 let handle_write t st ~txn ~origin ~key ~value =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: write key=%d decided=%b@." (Site_core.site st.core) key p.p_decided;
   if not p.p_decided then begin
     Site_core.buffer_write st.core ~txn key value;
     match Site_core.acquire_write st.core ~txn key ~on_granted:(fun () -> ()) with
@@ -227,9 +213,6 @@ let handle_write t st ~txn ~origin ~key ~value =
 
 let handle_commit_req t st ~txn ~origin ~participants =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: cr participants=[%s] refused=%b decided=%b@."
-    (Site_core.site st.core)
-    (String.concat "," (List.map string_of_int participants)) p.p_refused p.p_decided;
   if not p.p_decided then begin
     p.p_cr_seen <- true;
     p.p_participants <- Site_id.Set.of_list participants;
@@ -261,7 +244,6 @@ let note_no t st p ~voter ~witnesses =
 
 let handle_vote t st ~txn ~origin ~voter ~yes ~recast =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: vote %b from %d (decided=%b)@." (Site_core.site st.core) yes voter p.p_decided;
   if p.p_decided then begin
     (* Cooperative termination: the voter is still undecided (it threw its
        tally away at a view change) and we know the outcome — answer it.
@@ -287,16 +269,12 @@ let handle_vote t st ~txn ~origin ~voter ~yes ~recast =
    firing the commit hooks twice. *)
 let handle_decision t st ~txn ~origin ~commit =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: decision %b (decided=%b)@." (Site_core.site st.core)
-    commit p.p_decided;
   if (not p.p_decided) && p.p_cr_seen then
     if commit then commit_at t st p
     else abort_at t st p ~reason:History.Write_conflict
 
 let handle_no_echo t st ~txn ~origin ~voter ~echoer =
   let p = part_of st ~txn ~origin in
-  tracef txn "site %d: no-echo of %d's vote from %d (decided=%b)@."
-    (Site_core.site st.core) voter echoer p.p_decided;
   if not p.p_decided then note_no t st p ~voter ~witnesses:[ voter; echoer ]
 
 let deliver t st (d : payload Endpoint.delivery) =

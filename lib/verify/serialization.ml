@@ -24,15 +24,6 @@ let pp_violation ppf = function
     Format.fprintf ppf "serialization cycle: %s"
       (String.concat " -> " (List.map Txn_id.to_string cycle))
 
-(* The writer sequence of [key] at [site]: its apply log filtered to
-   transactions that wrote the key. *)
-let writer_sequence history ~site ~writers key =
-  History.apply_order history ~site
-  |> List.filter (fun txn ->
-         match Txn_id.Map.find_opt txn writers with
-         | Some keys -> List.mem key keys
-         | None -> false)
-
 (* One sequence must be a prefix of the other: a site that lags has seen
    fewer installs, but never a different order. *)
 let rec consistent_prefix a b =
@@ -40,18 +31,50 @@ let rec consistent_prefix a b =
   | [], _ | _, [] -> true
   | x :: a', y :: b' -> Txn_id.equal x y && consistent_prefix a' b'
 
+(* Every site's apply log, read once. Each entry whose transaction is in
+   [keys_of] is filed under each distinct key it wrote, so the result maps
+   a key to its writer sequence at every site that installed one:
+   [(site, writers newest first)], newest site first. Also returns the set
+   of transactions applied anywhere. *)
+let index_applies history ~keys_of =
+  let applied = Txn_id.Tbl.create 1024 in
+  let by_key = Hashtbl.create 1024 in
+  List.iter
+    (fun site ->
+      List.iter
+        (fun txn ->
+          Txn_id.Tbl.replace applied txn ();
+          match Txn_id.Tbl.find_opt keys_of txn with
+          | None -> ()
+          | Some keys ->
+            List.iter
+              (fun key ->
+                match Hashtbl.find_opt by_key key with
+                | Some ((s, seq) :: rest) when Net.Site_id.equal s site ->
+                  Hashtbl.replace by_key key ((s, txn :: seq) :: rest)
+                | Some sequences ->
+                  Hashtbl.replace by_key key ((site, [ txn ]) :: sequences)
+                | None -> Hashtbl.add by_key key [ (site, [ txn ]) ])
+              keys)
+        (History.apply_order history ~site))
+    (History.sites_applied history);
+  (applied, by_key)
+
 let check history =
   let violations = ref [] in
-  let sites = History.sites_applied history in
-  let applied_set =
-    List.fold_left
-      (fun acc site ->
-        List.fold_left
-          (fun acc txn -> Txn_id.Set.add txn acc)
-          acc
-          (History.apply_order history ~site))
-      Txn_id.Set.empty sites
-  in
+  let txns = History.txns history in
+  (* Keys written per transaction that may have committed: a transaction
+     installed somewhere is committed unless its origin reported an abort. *)
+  let keys_of = Txn_id.Tbl.create 1024 in
+  List.iter
+    (fun r ->
+      match r.History.outcome with
+      | Some (History.Aborted _) -> ()
+      | Some History.Committed | None ->
+        Txn_id.Tbl.replace keys_of r.History.txn
+          (List.sort_uniq Int.compare (List.map fst r.History.writes)))
+    txns;
+  let applied, by_key = index_applies history ~keys_of in
   (* Committed = reported committed, or installed somewhere (origin may
      have died before learning the group's decision). Installed + reported
      aborted is a protocol bug. *)
@@ -61,116 +84,101 @@ let check history =
         match r.History.outcome with
         | Some History.Committed -> true
         | Some (History.Aborted _) ->
-          if Txn_id.Set.mem r.History.txn applied_set then
+          if Txn_id.Tbl.mem applied r.History.txn then
             violations := Applied_but_aborted r.History.txn :: !violations;
           false
-        | None -> Txn_id.Set.mem r.History.txn applied_set)
-      (History.txns history)
+        | None -> Txn_id.Tbl.mem applied r.History.txn)
+      txns
   in
-  let committed_set =
-    List.fold_left
-      (fun acc r -> Txn_id.Set.add r.History.txn acc)
-      Txn_id.Set.empty committed
-  in
-  (* keys written per committed txn *)
-  let writers =
-    List.fold_left
-      (fun acc r ->
-        Txn_id.Map.add r.History.txn (List.map fst r.History.writes) acc)
-      Txn_id.Map.empty committed
-  in
+  let committed_set = Txn_id.Tbl.create 1024 in
+  List.iter (fun r -> Txn_id.Tbl.replace committed_set r.History.txn ()) committed;
   (* 1. reads-from must point at committed transactions *)
   List.iter
     (fun r ->
       List.iter
         (fun { History.read_from; _ } ->
           match read_from with
-          | Some w when not (Txn_id.Set.mem w committed_set) ->
+          | Some w when not (Txn_id.Tbl.mem committed_set w) ->
             violations :=
               Read_from_uncommitted { reader = r.History.txn; writer = w }
               :: !violations
           | Some _ | None -> ())
         r.History.reads)
     committed;
-  (* 2. reconstruct a version order per key and check sites agree *)
-  let all_keys =
-    List.concat_map (fun r -> List.map fst r.History.writes) committed
-    |> List.sort_uniq Int.compare
-  in
-  let version_order =
-    List.map
-      (fun key ->
-        let sequences =
-          List.map
-            (fun site -> (site, writer_sequence history ~site ~writers key))
-            sites
-        in
-        let rec cross = function
-          | [] -> ()
-          | (site_a, seq_a) :: rest ->
-            List.iter
-              (fun (site_b, seq_b) ->
-                if not (consistent_prefix seq_a seq_b) then
-                  violations :=
-                    Divergent_install_order { key; site_a; site_b }
-                    :: !violations)
-              rest;
-            cross rest
-        in
-        cross sequences;
-        let longest =
-          List.fold_left
-            (fun best (_, seq) ->
-              if List.length seq > List.length best then seq else best)
-            [] sequences
-        in
-        (key, longest))
-      all_keys
-  in
-  let order_of key =
-    Option.value ~default:[] (List.assoc_opt key version_order)
-  in
-  (* 3. build the serialization graph *)
+  (* 2. reconstruct a version order per key and check sites agree; the
+     version order is the first longest sequence in site order *)
   let edges = ref [] in
   let add_edge a b = if not (Txn_id.equal a b) then edges := (a, b) :: !edges in
-  (* write-write: consecutive writers *)
-  List.iter
-    (fun (_, seq) ->
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-          add_edge a b;
-          pairs rest
-        | [ _ ] | [] -> ()
-      in
-      pairs seq)
-    version_order;
-  (* write-read and read-write *)
+  let first_writer = Hashtbl.create 1024 in
+  let next_writer = Hashtbl.create 1024 in
+  Hashtbl.fold (fun key _ acc -> key :: acc) by_key []
+  |> List.sort Int.compare
+  |> List.iter (fun key ->
+         let sequences =
+           List.rev_map
+             (fun (site, seq) -> (site, List.rev seq))
+             (Hashtbl.find by_key key)
+         in
+         let rec cross = function
+           | [] -> ()
+           | (site_a, seq_a) :: rest ->
+             List.iter
+               (fun (site_b, seq_b) ->
+                 if not (consistent_prefix seq_a seq_b) then
+                   violations :=
+                     Divergent_install_order { key; site_a; site_b }
+                     :: !violations)
+               rest;
+             cross rest
+         in
+         let longest =
+           List.fold_left
+             (fun best (_, seq) ->
+               if List.length seq > List.length best then seq else best)
+             [] sequences
+         in
+         (* prefixes of one sequence are pairwise consistent, so only a key
+            with a sequence off the longest needs every pair compared *)
+         if not
+              (List.for_all
+                 (fun (_, seq) -> consistent_prefix seq longest)
+                 sequences)
+         then cross sequences;
+         (match longest with
+         | first :: _ -> Hashtbl.replace first_writer key first
+         | [] -> ());
+         (* 3a. write-write: consecutive writers; a reader of a writer's
+            version is overwritten by the writer after its first install *)
+         let rec pairs = function
+           | a :: (b :: _ as rest) ->
+             add_edge a b;
+             if not (Hashtbl.mem next_writer (key, a)) then
+               Hashtbl.add next_writer (key, a) b;
+             pairs rest
+           | [ _ ] | [] -> ()
+         in
+         pairs longest);
+  (* 3b. write-read and read-write *)
   List.iter
     (fun r ->
       List.iter
         (fun { History.read_key; read_from } ->
           (match read_from with
-          | Some w when Txn_id.Set.mem w committed_set -> add_edge w r.History.txn
+          | Some w when Txn_id.Tbl.mem committed_set w -> add_edge w r.History.txn
           | Some _ | None -> ());
           (* the writer that overwrote the version we read *)
-          let seq = order_of read_key in
           let overwriter =
             match read_from with
-            | None -> (match seq with first :: _ -> Some first | [] -> None)
-            | Some w ->
-              let rec after = function
-                | x :: next :: _ when Txn_id.equal x w -> Some next
-                | _ :: rest -> after rest
-                | [] -> None
-              in
-              after seq
+            | None -> Hashtbl.find_opt first_writer read_key
+            | Some w -> Hashtbl.find_opt next_writer (read_key, w)
           in
           match overwriter with
           | Some o -> add_edge r.History.txn o
           | None -> ())
         r.History.reads)
     committed;
-  (* 4. cycle detection *)
+  (* 4. cycle detection; [find_cycle] sorts its roots and successors, so
+     the witness depends only on the edge set, not on insertion order *)
   (match Db.Deadlock.find_cycle !edges with
   | Some cycle -> violations := Cycle cycle :: !violations
   | None -> ());

@@ -34,6 +34,17 @@ val check : History.t -> violation list
 (** Empty iff the history is one-copy serializable (as far as the recorded
     information can tell). A transaction whose write set was installed at
     some site counts as committed even if its origin crashed before
-    reporting an outcome — the decision belongs to the surviving group. *)
+    reporting an outcome — the decision belongs to the surviving group.
+
+    Violations come in a fixed order: applied-but-aborted and
+    read-from-uncommitted in transaction begin order, divergent install
+    orders by key then site pair, and at most one cycle last. A key's
+    version order is its longest install sequence, the first in site order
+    on ties.
+
+    It reads each site's apply log once. Its cost is
+    O(sites × applied transactions × write-set size + reads), plus the
+    cycle search; only a key whose sites disagree on its install order
+    pays for comparing every pair of sites. *)
 
 val is_one_copy_serializable : History.t -> bool

@@ -297,6 +297,123 @@ let prop_swapped_install_rejected =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Differential test: the one-pass checker against the quadratic reference
+   it replaced, on random histories carrying every fault the checker
+   reports. *)
+
+(* Transactions over a few keys on 1-4 sites. Faults mixed in: installs of
+   transactions aborted at their origin, reads from aborted, undecided or
+   non-writing transactions, stale reads (write skew, lost update), keys
+   repeated inside one write set; per site, a lagging prefix, a swapped
+   pair (divergent order), a double apply and apply-log resets. *)
+let gen_faulty_history seed =
+  let rng = Sim.Rng.create ~seed in
+  let chance n = Sim.Rng.int rng n = 0 in
+  let n_sites = 1 + Sim.Rng.int rng 4 and n_keys = 1 + Sim.Rng.int rng 6 in
+  let h = H.create () in
+  let latest = Hashtbl.create 8 in  (* key -> last installed writer *)
+  let begun = ref [] and installs = ref [] in
+  for i = 1 to 1 + Sim.Rng.int rng 10 do
+    let t = txn (Sim.Rng.int rng n_sites) i in
+    H.begin_txn h t ~origin:t.Txn.origin;
+    for _ = 1 to Sim.Rng.int rng 3 do
+      let key = Sim.Rng.int rng n_keys in
+      let from =
+        if chance 4 && !begun <> [] then
+          Some (List.nth !begun (Sim.Rng.int rng (List.length !begun)))
+        else if chance 4 then None
+        else Hashtbl.find_opt latest key
+      in
+      H.record_read h t key ~from
+    done;
+    let writes = List.init (Sim.Rng.int rng 4) (fun j -> (Sim.Rng.int rng n_keys, j)) in
+    H.record_writes h t writes;
+    let installed =
+      match Sim.Rng.int rng 6 with
+      | 0 ->
+        H.record_outcome h t (H.Aborted H.Write_conflict);
+        chance 3
+      | 1 -> chance 2
+      | _ ->
+        H.record_outcome h t H.Committed;
+        true
+    in
+    if installed then begin
+      installs := t :: !installs;
+      List.iter (fun (k, _) -> Hashtbl.replace latest k t) writes
+    end;
+    begun := t :: !begun
+  done;
+  let order = Array.of_list (List.rev !installs) in
+  for site = 0 to n_sites - 1 do
+    let log = Array.copy order and n = Array.length order in
+    if n >= 2 && chance 4 then begin
+      let i = Sim.Rng.int rng (n - 1) in
+      let x = log.(i) in
+      log.(i) <- log.(i + 1);
+      log.(i + 1) <- x
+    end;
+    let kept = if chance 3 then Sim.Rng.int rng (n + 1) else n in
+    let log = Array.to_list (Array.sub log 0 kept) in
+    (* applied twice: one entry again, right after itself or later *)
+    let log =
+      if kept > 0 && chance 5 then begin
+        let i = Sim.Rng.int rng kept in
+        let j = i + 1 + Sim.Rng.int rng (kept - i) in
+        List.filteri (fun k _ -> k < j) log
+        @ (List.nth log i :: List.filteri (fun k _ -> k >= j) log)
+      end
+      else log
+    in
+    if chance 6 then begin
+      List.iter (H.record_apply h ~site) (List.rev log);
+      H.reset_applies h ~site
+    end;
+    List.iter (H.record_apply h ~site) log;
+    if chance 10 then H.reset_applies h ~site
+  done;
+  h
+
+let show_violations vs = List.map (Format.asprintf "%a" S.pp_violation) vs
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"one-pass checker matches the quadratic reference"
+    ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let h =
+        if seed mod 5 = 0 then gen_serial_history seed else gen_faulty_history seed
+      in
+      let got = show_violations (S.check h)
+      and want = show_violations (Serialization_reference.check h) in
+      got = want
+      || QCheck.Test.fail_reportf "checker:   %s@.reference: %s"
+           (String.concat "; " got) (String.concat "; " want))
+
+(* The differential property is only as strong as its generator: it must
+   reach every violation kind, and clean histories too. *)
+let test_faulty_generator_coverage () =
+  let seen = Hashtbl.create 8 in
+  for seed = 0 to 999 do
+    match S.check (gen_faulty_history seed) with
+    | [] -> Hashtbl.replace seen "clean" ()
+    | vs ->
+      List.iter
+        (fun v ->
+          Hashtbl.replace seen
+            (match v with
+            | S.Read_from_uncommitted _ -> "read-from-uncommitted"
+            | S.Applied_but_aborted _ -> "applied-but-aborted"
+            | S.Divergent_install_order _ -> "divergent"
+            | S.Cycle _ -> "cycle")
+            ())
+        vs
+  done;
+  List.iter
+    (fun kind -> check_bool kind true (Hashtbl.mem seen kind))
+    [ "clean"; "read-from-uncommitted"; "applied-but-aborted"; "divergent"; "cycle" ]
+
+(* ------------------------------------------------------------------ *)
 (* Convergence *)
 
 let test_convergence () =
@@ -370,6 +487,9 @@ let () =
           tc "inconsistent RO cut" `Quick test_ro_inconsistent_cut_caught;
           QCheck_alcotest.to_alcotest prop_serial_accepted;
           QCheck_alcotest.to_alcotest prop_swapped_install_rejected;
+          tc "faulty generator reaches every violation" `Quick
+            test_faulty_generator_coverage;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "convergence",
         [
