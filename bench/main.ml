@@ -20,13 +20,10 @@ let gate_obs = Array.exists (( = ) "--gate-obs") Sys.argv
 (* ------------------------------------------------------------------ *)
 (* Paper tables, timed per experiment *)
 
-(* E15's raw grid feeds a JSON series as well as its table, so the driver
-   computes the rows once and renders from them rather than running the
-   saturation sweep twice. E16 follows the same pattern, and additionally
-   dumps each knee row's full telemetry time series to a JSONL file. *)
-let e15_rows : Exper.Experiments.e15_row list ref = ref []
-let e16_rows : Exper.Experiments.e16_row list ref = ref []
-let e17_rows : Exper.Experiments.e17_row list ref = ref []
+(* The saturation sweep feeds the E15/E16/E17 tables and their JSON
+   series; one lazy value shares a single run of it between the three
+   tables (charged to E15's wall line) and the JSON writer. *)
+let sweep = lazy (Exper.Experiments.saturation ~quick ())
 
 let write_e16_series rows =
   let knees = Exper.Experiments.e16_knees rows in
@@ -54,32 +51,15 @@ let write_e16_series rows =
 
 let print_tables () =
   List.map
-    (fun ((id, experiment) : string * (?quick:bool -> unit -> Stats.Table.t)) ->
+    (fun (id, experiment) ->
       let t0 = Unix.gettimeofday () in
-      let table =
-        if id = "E15" then begin
-          let rows = Exper.Experiments.e15_data ~quick () in
-          e15_rows := rows;
-          Exper.Experiments.e15_table_of rows
-        end
-        else if id = "E16" then begin
-          let rows = Exper.Experiments.e16_data ~quick () in
-          e16_rows := rows;
-          Exper.Experiments.e16_table_of rows
-        end
-        else if id = "E17" then begin
-          let rows = Exper.Experiments.e17_data ~quick () in
-          e17_rows := rows;
-          Exper.Experiments.e17_table_of rows
-        end
-        else experiment ~quick ()
-      in
+      let table = experiment () in
       let wall = Unix.gettimeofday () -. t0 in
       Printf.printf "\n";
       if markdown then print_string (Stats.Table.render_markdown table)
       else Stats.Table.print table;
       (id, wall))
-    Exper.Experiments.registry
+    (Exper.Experiments.registry ~quick ~sweep ())
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table, measuring the mechanism the
@@ -273,6 +253,11 @@ let json_escape s =
   Buffer.contents buf
 
 let write_bench_json ~experiments ~micro ~total_wall =
+  (* empty series when no table forced the sweep (--micro-only) *)
+  let { Exper.Experiments.e15_rows; e16_rows; e17_rows } =
+    if Lazy.is_val sweep then Lazy.force sweep
+    else { e15_rows = []; e16_rows = []; e17_rows = [] }
+  in
   let now = Unix.gettimeofday () in
   let tm = Unix.gmtime now in
   let date =
@@ -328,8 +313,8 @@ let write_bench_json ~experiments ~micro ~total_wall =
            r.Exper.Experiments.e15_p95_ms
            r.Exper.Experiments.e15_order_per_commit
            r.Exper.Experiments.e15_contract_ok))
-    !e15_rows;
-  Buffer.add_string buf (if !e15_rows = [] then "],\n" else "\n  ],\n");
+    e15_rows;
+  Buffer.add_string buf (if e15_rows = [] then "],\n" else "\n  ],\n");
   Buffer.add_string buf "  \"e16_saturation\": [";
   List.iteri
     (fun i (r : Exper.Experiments.e16_row) ->
@@ -350,8 +335,8 @@ let write_bench_json ~experiments ~micro ~total_wall =
            r.Exper.Experiments.e16_batch r.Exper.Experiments.e16_committed
            r.Exper.Experiments.e16_tps r.Exper.Experiments.e16_p50_ms
            r.Exper.Experiments.e16_p95_ms means))
-    !e16_rows;
-  Buffer.add_string buf (if !e16_rows = [] then "],\n" else "\n  ],\n");
+    e16_rows;
+  Buffer.add_string buf (if e16_rows = [] then "],\n" else "\n  ],\n");
   Buffer.add_string buf "  \"e16_knees\": [";
   List.iteri
     (fun i (k : Exper.Experiments.e16_knee) ->
@@ -364,8 +349,8 @@ let write_bench_json ~experiments ~micro ~total_wall =
            k.Exper.Experiments.e16k_batch
            (json_escape k.Exper.Experiments.e16k_resource)
            k.Exper.Experiments.e16k_ratio))
-    (Exper.Experiments.e16_knees !e16_rows);
-  Buffer.add_string buf (if !e16_rows = [] then "],\n" else "\n  ],\n");
+    (Exper.Experiments.e16_knees e16_rows);
+  Buffer.add_string buf (if e16_rows = [] then "],\n" else "\n  ],\n");
   Buffer.add_string buf "  \"e17_critpath\": [";
   List.iteri
     (fun i (r : Exper.Experiments.e17_row) ->
@@ -391,8 +376,8 @@ let write_bench_json ~experiments ~micro ~total_wall =
            r.Exper.Experiments.e17_max_residual_us
            r.Exper.Experiments.e17_rounds
            r.Exper.Experiments.e17_analytic_rounds shares))
-    !e17_rows;
-  Buffer.add_string buf (if !e17_rows = [] then "]\n" else "\n  ]\n");
+    e17_rows;
+  Buffer.add_string buf (if e17_rows = [] then "]\n" else "\n  ]\n");
   Buffer.add_string buf "}\n";
   let oc = open_out file in
   output_string oc (Buffer.contents buf);
@@ -461,7 +446,8 @@ let () =
     (Parallel.jobs ());
   let t0 = Unix.gettimeofday () in
   let experiments = if micro_only then [] else print_tables () in
-  if !e16_rows <> [] then write_e16_series !e16_rows;
+  if Lazy.is_val sweep then
+    write_e16_series (Lazy.force sweep).Exper.Experiments.e16_rows;
   let micro = if tables_only then [] else run_micro () in
   let total_wall = Unix.gettimeofday () -. t0 in
   if not micro_only then begin

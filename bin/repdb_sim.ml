@@ -337,12 +337,11 @@ let run_term =
 (* ------------------------------------------------------------------ *)
 (* exper *)
 
-let experiments = Exper.Experiments.registry
-
 let exper_cmd which quick markdown jobs =
   (* Simulation runs execute on the Parallel domain pool; --jobs pins its
      size for this invocation (same knob as BCASTDB_JOBS). *)
   (match jobs with Some n -> Parallel.set_jobs (Some n) | None -> ());
+  let experiments = Exper.Experiments.registry ~quick () in
   let selected =
     match which with
     | [] -> experiments
@@ -358,8 +357,8 @@ let exper_cmd which quick markdown jobs =
         ids
   in
   List.iter
-    (fun ((_, fn) : string * (?quick:bool -> unit -> Stats.Table.t)) ->
-      let table = fn ~quick () in
+    (fun (_, fn) ->
+      let table = fn () in
       if markdown then print_string (Stats.Table.render_markdown table)
       else Stats.Table.print table;
       print_newline ())
@@ -820,7 +819,9 @@ let audit_term = Term.(const audit_cmd $ audit_trace_file $ audit_json_out)
 let list_cmd () =
   print_endline "protocols  : baseline reliable causal atomic";
   print_endline "experiments:";
-  List.iter (fun (id, _) -> Printf.printf "  %s\n" id) experiments
+  List.iter
+    (fun (id, _) -> Printf.printf "  %s\n" id)
+    (Exper.Experiments.registry ())
 
 (* ------------------------------------------------------------------ *)
 

@@ -487,31 +487,6 @@ let create engine config ~history =
       t.sites;
   t
 
-let debug_site t s =
-  let st = t.sites.(s) in
-  let pending =
-    Txn_id.Tbl.fold
-      (fun _ p acc ->
-        if p.p_decided then acc
-        else
-          Format.asprintf "%a[cr=%b ref=%b nacks=%d ack=%b]" Txn_id.pp p.p_txn
-            (p.p_cr <> None) p.p_refused (Site_id.Set.cardinal p.p_nacks)
-            (implicitly_acked st p)
-          :: acc)
-      st.part []
-  in
-  let matrix =
-    Array.to_list st.last_vc
-    |> List.mapi (fun i v ->
-           match v with
-           | Some v -> Format.asprintf "%d:%a" i Vc.pp v
-           | None -> Printf.sprintf "%d:-" i)
-  in
-  Format.asprintf "site=%d ready=%b %a queued=%d pending=[%s] matrix=[%s]" s
-    (Endpoint.is_ready st.ep) Broadcast.View.pp (Endpoint.view st.ep)
-    (Endpoint.pending_causal st.ep)
-    (String.concat " " pending) (String.concat " " matrix)
-
 let submit t ~origin spec ~on_done =
   let st = t.sites.(origin) in
   st.next_local <- st.next_local + 1;

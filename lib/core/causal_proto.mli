@@ -33,6 +33,3 @@
     conflicting operations are concurrent and hence will be aborted". *)
 
 include Protocol_intf.S
-
-val debug_site : t -> Net.Site_id.t -> string
-(** One-line dump of a site's pending state (tests and troubleshooting). *)

@@ -449,26 +449,6 @@ let create engine config ~history =
       t.sites;
   t
 
-let debug_site t s =
-  let st = t.sites.(s) in
-  let pending =
-    Txn_id.Tbl.fold
-      (fun _ p acc ->
-        if p.p_decided then acc
-        else
-          Format.asprintf "%a[cr=%b ref=%b no={%s} yes={%s}]" Txn_id.pp p.p_txn
-            p.p_cr_seen p.p_refused
-            (String.concat ","
-               (List.map Site_id.to_string (Site_id.Set.elements p.p_votes_no)))
-            (String.concat ","
-               (List.map Site_id.to_string (Site_id.Set.elements p.p_votes_yes)))
-          :: acc)
-      st.part []
-  in
-  Format.asprintf "site=%d ready=%b %a pending=[%s]" s (Endpoint.is_ready st.ep)
-    Broadcast.View.pp (Endpoint.view st.ep)
-    (String.concat " " pending)
-
 let submit t ~origin spec ~on_done =
   let st = t.sites.(origin) in
   st.next_local <- st.next_local + 1;

@@ -24,6 +24,3 @@
     view). *)
 
 include Protocol_intf.S
-
-val debug_site : t -> Net.Site_id.t -> string
-(** One-line dump of a site's pending state (tests and troubleshooting). *)

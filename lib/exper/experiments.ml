@@ -830,46 +830,6 @@ let e15_config ~n size =
     atomic_batch_writes = true;
   }
 
-let e15_data ?(quick = false) () =
-  let n = 5 in
-  let load =
-    {
-      Workload.target_inflight = 16;
-      warmup = Sim.Time.of_sec (if quick then 0.25 else 0.5);
-      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
-    }
-  in
-  let sizes = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
-  let cells =
-    List.concat_map
-      (fun proto -> List.map (fun size -> (proto, size)) sizes)
-      broadcast_protocols
-  in
-  Parallel.map cells ~f:(fun (proto, size) ->
-      (* No clients at site 0 (the sequencer/coordinator): its own
-         transactions order locally without a network round trip, so a
-         closed loop there never throttles and would drown the
-         distributed commit path in loopback commits. *)
-      let r =
-        R.run_saturation ~config:(e15_config ~n size) ~profile:costs_profile
-          ~load ~seed:15 ~collect_audit:true
-          ~clients_on:(List.tl (Net.Site_id.all ~n)) ~n_sites:n proto
-      in
-      let commits = float_of_int r.R.sat_committed in
-      {
-        e15_protocol = r.R.sat_protocol_name;
-        e15_batch = size;
-        e15_committed = r.R.sat_committed;
-        e15_tps = r.R.sat_throughput_tps;
-        e15_p50_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.5;
-        e15_p95_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.95;
-        e15_order_per_commit =
-          (if r.R.sat_committed = 0 then 0.0
-           else float_of_int r.R.sat_order_wire_msgs /. commits);
-        e15_contract_ok =
-          Audit.Log.report_ok (Audit.Log.finalize r.R.sat_audit);
-      })
-
 let e15_table_of rows =
   let table =
     T.create
@@ -897,8 +857,6 @@ let e15_table_of rows =
         ])
     rows;
   table
-
-let e15_batching ?(quick = false) () = e15_table_of (e15_data ~quick ())
 
 (* ------------------------------------------------------------------ *)
 (* E16: saturation telemetry — where does the E15 curve bend, and why? *)
@@ -958,49 +916,6 @@ let e16_windowed_mean sampler ~w_start ~w_end ~probe =
     in
     total /. float_of_int (List.length rows)
 
-let e16_data ?(quick = false) () =
-  let n = 5 in
-  let load =
-    {
-      Workload.target_inflight = 16;
-      warmup = Sim.Time.of_sec (if quick then 0.25 else 0.5);
-      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
-    }
-  in
-  let sizes = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
-  let cells =
-    List.concat_map
-      (fun proto -> List.map (fun size -> (proto, size)) sizes)
-      broadcast_protocols
-  in
-  let w_start = load.Workload.warmup in
-  let w_end = Sim.Time.add load.Workload.warmup load.Workload.measure in
-  Parallel.map cells ~f:(fun (proto, size) ->
-      (* The E15 saturation setup, re-run with a 10ms telemetry cadence so
-         the knee of the throughput curve can be attributed to the resource
-         whose backlog actually grew. Audit stays off: E16 measures queues,
-         E15 already certified the contract under this exact config/load. *)
-      let r =
-        R.run_saturation ~config:(e15_config ~n size) ~profile:costs_profile
-          ~load ~seed:16 ~sample_every:(Sim.Time.of_ms 10)
-          ~clients_on:(List.tl (Net.Site_id.all ~n)) ~n_sites:n proto
-      in
-      let sampler = r.R.sat_sampler in
-      {
-        e16_protocol = r.R.sat_protocol_name;
-        e16_batch = size;
-        e16_committed = r.R.sat_committed;
-        e16_tps = r.R.sat_throughput_tps;
-        e16_p50_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.5;
-        e16_p95_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.95;
-        e16_means =
-          List.map
-            (fun (key, probe) ->
-              (key, e16_windowed_mean sampler ~w_start ~w_end ~probe))
-            e16_resources;
-        e16_series = Obs.Sampler.to_jsonl sampler;
-      })
-
 let e16_knees rows =
   let protos =
     List.fold_left
@@ -1049,7 +964,7 @@ let e16_table_of rows =
     T.create
       ~title:
         "E16: saturation telemetry — windowed mean backlog per resource vs \
-         batch size (the E15 sweep re-run with 10ms probe sampling; evq = \
+         batch size (the E15 runs, probes sampled every 10ms; evq = \
          engine events pending, nic us = NIC serialization backlog, delay \
          = causal delay-queue depth, order = total-order backlog, waiters \
          = queued lock requests, outst = undecided transactions at their \
@@ -1093,8 +1008,6 @@ let e16_table_of rows =
         ])
     rows;
   table
-
-let e16_telemetry ?(quick = false) () = e16_table_of (e16_data ~quick ())
 
 (* ------------------------------------------------------------------ *)
 (* E17: critical-path blame decomposition *)
@@ -1163,69 +1076,6 @@ let e17_row_of ~protocol ~mode ~batch ~analytic paths =
     e17_analytic_rounds = analytic;
   }
 
-let e17_data ?(quick = false) () =
-  let n = 5 in
-  (* Part A — isolated rounds cross-check: one client loop on one site,
-     constant link latency, so no unrelated traffic can serve as an
-     implicit acknowledgment and the walked path's tagged delivery hops
-     must equal E14's closed-form round depths (reliable 2, causal 2,
-     atomic 1). *)
-  let iso_config =
-    {
-      (Repdb.Config.default ~n_sites:n) with
-      Repdb.Config.latency = Net.Latency.Constant (Sim.Time.of_ms 1);
-    }
-  in
-  let iso_load =
-    {
-      Workload.target_inflight = 1;
-      warmup = Sim.Time.of_ms 100;
-      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
-    }
-  in
-  (* Part B — blame under load: the E15 saturation sweep re-run with span
-     and audit collection, so each (protocol, batch) cell decomposes its
-     p50 into per-segment blame and the E16 knee resource should reappear
-     as the dominant per-transaction segment. *)
-  let load =
-    {
-      Workload.target_inflight = 16;
-      warmup = Sim.Time.of_sec (if quick then 0.25 else 0.5);
-      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
-    }
-  in
-  let sizes = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
-  let cells =
-    List.map (fun proto -> `Isolated proto) broadcast_protocols
-    @ List.concat_map
-        (fun proto -> List.map (fun size -> `Load (proto, size)) sizes)
-        broadcast_protocols
-  in
-  Parallel.map cells ~f:(fun cell ->
-      let r, mode, batch, analytic =
-        match cell with
-        | `Isolated proto ->
-          let _, _, rounds =
-            analytic_costs proto ~n ~w:costs_profile.Workload.writes_per_txn
-          in
-          ( R.run_saturation ~config:iso_config ~profile:costs_profile
-              ~load:iso_load ~seed:17 ~collect_spans:true ~collect_audit:true
-              ~clients_on:[ 1 ] ~n_sites:n proto,
-            "isolated", 1, rounds )
-        | `Load (proto, size) ->
-          ( R.run_saturation ~config:(e15_config ~n size)
-              ~profile:costs_profile ~load ~seed:17 ~collect_spans:true
-              ~collect_audit:true
-              ~clients_on:(List.tl (Net.Site_id.all ~n)) ~n_sites:n proto,
-            "load", size, -1 )
-      in
-      let paths =
-        CP.explain
-          ~spans:(Obs.Recorder.events r.R.sat_recorder)
-          ~audit:(Audit.Log.events r.R.sat_audit)
-      in
-      e17_row_of ~protocol:r.R.sat_protocol_name ~mode ~batch ~analytic paths)
-
 let e17_table_of rows =
   let table =
     T.create
@@ -1271,31 +1121,151 @@ let e17_table_of rows =
     rows;
   table
 
-let e17_critical_path ?(quick = false) () = e17_table_of (e17_data ~quick ())
+(* ------------------------------------------------------------------ *)
+(* The saturation sweep behind E15, E16 and E17 *)
 
-let registry : (string * (?quick:bool -> unit -> Stats.Table.t)) list =
+type saturation = {
+  e15_rows : e15_row list;
+  e16_rows : e16_row list;
+  e17_rows : e17_row list;
+}
+
+let saturation ?(quick = false) () =
+  let n = 5 in
+  (* E17's isolated rounds cross-check: one client loop on one site,
+     constant link latency, so no unrelated traffic can serve as an
+     implicit acknowledgment and the walked path's tagged delivery hops
+     must equal E14's closed-form round depths (reliable 2, causal 2,
+     atomic 1). *)
+  let iso_config =
+    {
+      (Repdb.Config.default ~n_sites:n) with
+      Repdb.Config.latency = Net.Latency.Constant (Sim.Time.of_ms 1);
+    }
+  in
+  let iso_load =
+    {
+      Workload.target_inflight = 1;
+      warmup = Sim.Time.of_ms 100;
+      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
+    }
+  in
+  let load =
+    {
+      Workload.target_inflight = 16;
+      warmup = Sim.Time.of_sec (if quick then 0.25 else 0.5);
+      measure = Sim.Time.of_sec (if quick then 0.5 else 1.0);
+    }
+  in
+  let w_start = load.Workload.warmup in
+  let w_end = Sim.Time.add load.Workload.warmup load.Workload.measure in
+  let sizes = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
+  let cells =
+    List.map (fun proto -> `Isolated proto) broadcast_protocols
+    @ List.concat_map
+        (fun proto -> List.map (fun size -> `Load (proto, size)) sizes)
+        broadcast_protocols
+  in
+  let paths r =
+    CP.explain
+      ~spans:(Obs.Recorder.events r.R.sat_recorder)
+      ~audit:(Audit.Log.events r.R.sat_audit)
+  in
+  let rows =
+    Parallel.map cells ~f:(function
+      | `Isolated proto ->
+        let _, _, rounds =
+          analytic_costs proto ~n ~w:costs_profile.Workload.writes_per_txn
+        in
+        let r =
+          R.run_saturation ~config:iso_config ~profile:costs_profile
+            ~load:iso_load ~seed:17 ~collect_spans:true ~collect_audit:true
+            ~clients_on:[ 1 ] ~n_sites:n proto
+        in
+        ( None,
+          e17_row_of ~protocol:r.R.sat_protocol_name ~mode:"isolated" ~batch:1
+            ~analytic:rounds (paths r) )
+      | `Load (proto, size) ->
+        (* One fully instrumented run per cell — audit, spans and the 10ms
+           sampler all on, none of which perturbs the simulation — folded
+           into its E15, E16 and E17 rows here, so the run's logs die with
+           the worker. No clients at site 0 (the sequencer/coordinator):
+           its own transactions order locally without a network round
+           trip, so a closed loop there never throttles and would drown
+           the distributed commit path in loopback commits. *)
+        let r =
+          R.run_saturation ~config:(e15_config ~n size) ~profile:costs_profile
+            ~load ~seed:15 ~collect_spans:true ~collect_audit:true
+            ~sample_every:(Sim.Time.of_ms 10)
+            ~clients_on:(List.tl (Net.Site_id.all ~n)) ~n_sites:n proto
+        in
+        let protocol = r.R.sat_protocol_name in
+        let committed = r.R.sat_committed in
+        let tps = r.R.sat_throughput_tps in
+        let p50_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.5 in
+        let p95_ms = Stats.Summary.percentile r.R.sat_latency_ms 0.95 in
+        let sampler = r.R.sat_sampler in
+        ( Some
+            ( {
+                e15_protocol = protocol;
+                e15_batch = size;
+                e15_committed = committed;
+                e15_tps = tps;
+                e15_p50_ms = p50_ms;
+                e15_p95_ms = p95_ms;
+                e15_order_per_commit =
+                  (if committed = 0 then 0.0
+                   else
+                     float_of_int r.R.sat_order_wire_msgs
+                     /. float_of_int committed);
+                e15_contract_ok =
+                  Audit.Log.report_ok (Audit.Log.finalize r.R.sat_audit);
+              },
+              {
+                e16_protocol = protocol;
+                e16_batch = size;
+                e16_committed = committed;
+                e16_tps = tps;
+                e16_p50_ms = p50_ms;
+                e16_p95_ms = p95_ms;
+                e16_means =
+                  List.map
+                    (fun (key, probe) ->
+                      (key, e16_windowed_mean sampler ~w_start ~w_end ~probe))
+                    e16_resources;
+                e16_series = Obs.Sampler.to_jsonl sampler;
+              } ),
+          e17_row_of ~protocol ~mode:"load" ~batch:size ~analytic:(-1)
+            (paths r) ))
+  in
+  let loads = List.filter_map fst rows in
+  {
+    e15_rows = List.map fst loads;
+    e16_rows = List.map snd loads;
+    e17_rows = List.map snd rows;
+  }
+
+let registry ?(quick = false) ?(sweep = lazy (saturation ~quick ())) () =
+  let table (f : ?quick:bool -> unit -> Stats.Table.t) () = f ~quick () in
   [
-    ("E1", e1_messages);
-    ("E2", e2_latency_sites);
-    ("E3", e3_implicit_ack);
-    ("E4", e4_aborts);
-    ("E5", e5_throughput);
-    ("E6", e6_deadlocks);
-    ("E7", e7_failover);
-    ("E8", e8_readonly);
-    ("E9", e9_primitives);
-    ("E10", e10_batched_writes);
-    ("E11", e11_flooding);
-    ("E12", e12_lossy_links);
-    ("E13", e13_phase_breakdown);
-    ("E14", e14_audit_complexity);
-    ("E15", e15_batching);
-    ("E16", e16_telemetry);
-    ("E17", e17_critical_path);
+    ("E1", table e1_messages);
+    ("E2", table e2_latency_sites);
+    ("E3", table e3_implicit_ack);
+    ("E4", table e4_aborts);
+    ("E5", table e5_throughput);
+    ("E6", table e6_deadlocks);
+    ("E7", table e7_failover);
+    ("E8", table e8_readonly);
+    ("E9", table e9_primitives);
+    ("E10", table e10_batched_writes);
+    ("E11", table e11_flooding);
+    ("E12", table e12_lossy_links);
+    ("E13", table e13_phase_breakdown);
+    ("E14", table e14_audit_complexity);
+    ("E15", fun () -> e15_table_of (Lazy.force sweep).e15_rows);
+    ("E16", fun () -> e16_table_of (Lazy.force sweep).e16_rows);
+    ("E17", fun () -> e17_table_of (Lazy.force sweep).e17_rows);
   ]
 
-let all ?(quick = false) () =
-  List.map
-    (fun ((id, experiment) : string * (?quick:bool -> unit -> Stats.Table.t)) ->
-      (id, experiment ~quick ()))
-    registry
+let all ?quick () =
+  List.map (fun (id, table) -> (id, table ())) (registry ?quick ())

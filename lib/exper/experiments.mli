@@ -1,8 +1,9 @@
 (** The paper's evaluation, reproduced as tables.
 
-    One function per experiment in DESIGN.md's index (E1–E17); each returns
+    One function per experiment in DESIGN.md's index (E1–E14); each returns
     the rendered table(s) that `bench/main.exe` prints and EXPERIMENTS.md
-    records. [quick] shrinks the workloads for use inside the test suite;
+    records. E15–E17 render their tables from one shared {!saturation}
+    sweep. [quick] shrinks the workloads for use inside the test suite;
     the default sizes are what the committed EXPERIMENTS.md numbers come
     from. Everything is seeded and deterministic. *)
 
@@ -83,21 +84,13 @@ type e15_row = {
   e15_contract_ok : bool;  (** online broadcast-contract monitors' verdict *)
 }
 
-val e15_data : ?quick:bool -> unit -> e15_row list
-(** The raw E15 grid (protocol x batch size), for the benchmark driver's
-    JSON series. Deterministic and pool-size independent like {!all}. *)
-
 val e15_table_of : e15_row list -> Stats.Table.t
-(** Render a computed grid without re-running it — the benchmark driver
-    prints the table {e and} serializes the same rows to BENCH_*.json. *)
-
-val e15_batching : ?quick:bool -> unit -> Stats.Table.t
-(** Broadcast batching / group commit at saturation: a closed-loop load
-    (fixed in-flight population per site, time-windowed measurement) under
-    a per-datagram NIC serialization cost, swept over frame capacities
-    1/4/16/64 for the three broadcast protocols. Shows committed
-    throughput, p50/p95 commit latency, and the amortized sequencer
-    order-datagram cost per committed transaction. *)
+(** E15, broadcast batching / group commit at saturation: a closed-loop
+    load (fixed in-flight population per site, time-windowed measurement)
+    under a per-datagram NIC serialization cost, swept over frame
+    capacities 1/4/16/64 for the three broadcast protocols. Shows
+    committed throughput, p50/p95 commit latency, and the amortized
+    sequencer order-datagram cost per committed transaction. *)
 
 type e16_row = {
   e16_protocol : string;
@@ -123,30 +116,21 @@ type e16_knee = {
                            (denominator floored at 1) *)
 }
 
-val e16_data : ?quick:bool -> unit -> e16_row list
-(** The raw E16 grid (protocol x batch size): the E15 saturation sweep
-    re-run with a 10ms telemetry sampling cadence. Deterministic and
-    pool-size independent like {!all}. *)
-
 val e16_knees : e16_row list -> e16_knee list
 (** Per protocol (grid order): locate the throughput knee and attribute it
     to the resource whose windowed mean grew most versus the batch=1 run. *)
 
 val e16_table_of : e16_row list -> Stats.Table.t
-(** Render a computed grid (with its knee attribution column) without
-    re-running it — the benchmark driver prints the table {e and}
-    serializes the same rows to BENCH_*.json. *)
-
-val e16_telemetry : ?quick:bool -> unit -> Stats.Table.t
-(** Saturation telemetry: per (protocol, batch size) cell of the E15 sweep,
-    the measurement-window mean of six resource backlogs — engine event
-    queue, NIC serialization backlog, causal delay-queue depth, total-order
-    backlog, lock waiters, undecided transactions — plus a knee column
-    marking where batching stops paying and which resource saturated. *)
+(** E16, saturation telemetry: per (protocol, batch size) cell of the
+    sweep, the measurement-window mean of six resource backlogs — engine
+    event queue, NIC serialization backlog, causal delay-queue depth,
+    total-order backlog, lock waiters, undecided transactions — plus a
+    knee column marking where batching stops paying and which resource
+    saturated. *)
 
 type e17_row = {
   e17_protocol : string;
-  e17_mode : string;  (** ["isolated"] (Part A) or ["load"] (Part B) *)
+  e17_mode : string;  (** ["isolated"] or ["load"] *)
   e17_batch : int;  (** frame capacity; 1 for the isolated rows *)
   e17_txns : int;  (** committed transactions profiled (whole run) *)
   e17_p50_ms : float;
@@ -165,30 +149,42 @@ type e17_row = {
   e17_analytic_rounds : int;  (** E14's closed form; -1 on load rows *)
 }
 
-val e17_data : ?quick:bool -> unit -> e17_row list
-(** The raw E17 grid, for the benchmark driver's JSON series: three
-    isolated rows (one client loop on one site, constant 1ms links — the
-    per-path tagged hop count must equal E14's closed-form round depth:
-    reliable 2, causal 2, atomic 1) followed by the E15 saturation sweep
-    (protocol x batch size) re-run with span + audit collection and the
-    commit latency decomposed into per-segment blame. Deterministic and
-    pool-size independent like {!all}. *)
-
 val e17_table_of : e17_row list -> Stats.Table.t
-(** Render a computed grid without re-running it — the benchmark driver
-    prints the table {e and} serializes the same rows to BENCH_*.json. *)
+(** E17, critical-path blame decomposition: where each committed
+    transaction's latency went, segment by segment ({!Critpath}), across
+    load and batch size — with the measured round depth cross-checked
+    against E14's closed forms on the isolated runs, and the E16 knee
+    resource expected to reappear as the dominant per-transaction segment
+    at saturation. *)
 
-val e17_critical_path : ?quick:bool -> unit -> Stats.Table.t
-(** Critical-path blame decomposition: where each committed transaction's
-    latency went, segment by segment ({!Critpath}), across load and batch
-    size — with the measured round depth cross-checked against E14's
-    closed forms on the isolated runs, and the E16 knee resource expected
-    to reappear as the dominant per-transaction segment at saturation. *)
+type saturation = {
+  e15_rows : e15_row list;
+  e16_rows : e16_row list;  (** same cells, in the same order, as E15's *)
+  e17_rows : e17_row list;  (** the isolated rows, then the load rows *)
+}
 
-val registry : (string * (?quick:bool -> unit -> Stats.Table.t)) list
+val saturation : ?quick:bool -> unit -> saturation
+(** The one simulation sweep behind E15, E16 and E17. Three isolated runs
+    (one client loop on one site, constant 1ms links — the per-path
+    tagged hop count must equal E14's closed-form round depth: reliable
+    2, causal 2, atomic 1) feed E17's isolated rows. Each (protocol,
+    batch size) cell of the saturation grid is a single run with audit,
+    spans and 10ms telemetry sampling all on, folded into its E15, E16
+    and E17 load rows. Deterministic and pool-size independent like
+    {!all}. *)
+
+val registry :
+  ?quick:bool ->
+  ?sweep:saturation Lazy.t ->
+  unit ->
+  (string * (unit -> Stats.Table.t)) list
 (** The experiments above, keyed by their DESIGN.md identifiers, in order,
     but not yet run — drivers that want to time or select individual
-    experiments iterate this instead of duplicating the list. *)
+    experiments iterate this instead of duplicating the list. E15, E16
+    and E17 render from [sweep], forced by whichever of them runs first;
+    it defaults to a fresh [lazy (saturation ~quick ())], so one
+    registry runs the sweep at most once. Pass it to read the rows as
+    well as the tables. *)
 
 val all : ?quick:bool -> unit -> (string * Stats.Table.t) list
 (** Every experiment, keyed by its DESIGN.md identifier, in order.

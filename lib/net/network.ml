@@ -13,7 +13,6 @@ type 'm t = {
   classify : 'm -> string;
   loopback : Sim.Time.t;
   tx_time : Sim.Time.t;
-  trace : Sim.Trace.t option;
   mutable loss : loss option;
   rng : Sim.Rng.t;
   handlers : (src:Site_id.t -> 'm -> unit) option array;
@@ -42,7 +41,7 @@ let validate_loss ~who = function
   | Some _ | None -> ()
 
 let create engine ~n ~latency ?(classify = fun _ -> "msg")
-    ?(loopback = Sim.Time.of_us 10) ?(tx_time = Sim.Time.zero) ?trace ?loss () =
+    ?(loopback = Sim.Time.of_us 10) ?(tx_time = Sim.Time.zero) ?loss () =
   if n <= 0 then invalid_arg "Network.create: n <= 0";
   validate_loss ~who:"Network.create" loss;
   {
@@ -52,7 +51,6 @@ let create engine ~n ~latency ?(classify = fun _ -> "msg")
     classify;
     loopback;
     tx_time;
-    trace;
     loss;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
     handlers = Array.make n None;
@@ -104,14 +102,6 @@ let same_side t a b =
 
 let reachable t a b = t.up.(a) && t.up.(b) && same_side t a b
 
-let record t ~src ~dst event msg =
-  match t.trace with
-  | Some trace ->
-    Sim.Trace.logf trace ~time:(Sim.Engine.now t.engine)
-      ~source:(Site_id.to_string src) "%s %s -> %a" event (t.classify msg)
-      Site_id.pp dst
-  | None -> ()
-
 (* Schedule the delivery of one datagram, maintaining per-link FIFO order:
    the delivery time is the max of (now + sampled latency) and the link's
    previous delivery time. Datagrams already in flight survive a later crash
@@ -137,7 +127,6 @@ let deliver_scheduled t ~src ~dst msg =
         if Sim.Rng.float t.rng 1.0 < drop_probability then begin
           Net_stats.record_send t.stats ~category:(t.classify msg);
           Net_stats.record_drop t.stats ~category:(t.classify msg);
-          record t ~src ~dst "lost(retransmit)" msg;
           attempts (Sim.Time.add acc (Sim.Time.add rto (Latency.sample t.latency t.rng)))
         end
         else acc
@@ -169,7 +158,6 @@ let deliver_scheduled t ~src ~dst msg =
     if t.up.(dst) then begin
       match t.handlers.(dst) with
       | Some handler ->
-        record t ~src ~dst "deliver" msg;
         (* Expose this datagram's wire timestamps for the dynamic extent
            of the handler call only — receivers that care (the critical-
            path profiler's audit plumbing) read them synchronously;
@@ -177,33 +165,22 @@ let deliver_scheduled t ~src ~dst msg =
         t.rx <- Some timing;
         Fun.protect ~finally:(fun () -> t.rx <- None) (fun () ->
             handler ~src msg)
-      | None ->
-        record t ~src ~dst "drop(nohandler)" msg;
-        Net_stats.record_drop t.stats ~category:(t.classify msg)
+      | None -> Net_stats.record_drop t.stats ~category:(t.classify msg)
     end
-    else begin
-      record t ~src ~dst "drop" msg;
-      Net_stats.record_drop t.stats ~category:(t.classify msg)
-    end
+    else Net_stats.record_drop t.stats ~category:(t.classify msg)
   in
   ignore (Sim.Engine.schedule_at t.engine ~time:at callback)
 
 let deliver t ~src ~dst msg =
-  if not (same_side t src dst) then begin
-    record t ~src ~dst "drop(cut)" msg;
-    Net_stats.record_drop t.stats ~category:(t.classify msg)
-  end
-  else deliver_scheduled t ~src ~dst msg
+  if same_side t src dst then deliver_scheduled t ~src ~dst msg
+  else Net_stats.record_drop t.stats ~category:(t.classify msg)
 
 let send t ~src ~dst msg =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Network.send: bad site";
-  if not (reachable t src dst) then begin
-    record t ~src ~dst "drop(send)" msg;
+  if not (reachable t src dst) then
     Net_stats.record_drop t.stats ~category:(t.classify msg)
-  end
   else begin
-    record t ~src ~dst "send" msg;
     Net_stats.record_send t.stats ~category:(t.classify msg);
     deliver t ~src ~dst msg
   end

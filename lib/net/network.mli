@@ -34,7 +34,6 @@ val create :
   ?classify:('m -> string) ->
   ?loopback:Sim.Time.t ->
   ?tx_time:Sim.Time.t ->
-  ?trace:Sim.Trace.t ->
   ?loss:loss ->
   unit ->
   'm t
@@ -46,10 +45,7 @@ val create :
     interface for [tx_time] before entering the link, so a site's outgoing
     datagrams queue behind each other — the bandwidth resource that makes
     batching pay. Zero keeps the interface infinitely fast and the
-    schedule byte-identical to earlier versions. [trace], when given,
-    records every send, delivery and drop (with the classifier's label)
-    into the bounded ring — the debugging hook for post-mortems on
-    misbehaving runs. *)
+    schedule byte-identical to earlier versions. *)
 
 val engine : 'm t -> Sim.Engine.t
 val n_sites : 'm t -> int

@@ -79,30 +79,14 @@ let span_to_json (e : Span.event) =
     (Span.kind_name e.Span.kind)
     (json_escape e.Span.note)
 
-let ring_to_json (entry : Sim.Trace.entry) =
-  (* reuse the sim layer's rendering, tagged with its stream *)
-  let body = Sim.Trace.entry_to_json entry in
-  "{\"stream\":\"trace\"," ^ String.sub body 1 (String.length body - 1)
-
-let jsonl ?ring ?(extra = []) events =
+let jsonl ?(extra = []) events =
   let span_lines =
     List.map (fun e -> (Sim.Time.to_us e.Span.at, span_to_json e)) events
   in
-  let ring_lines =
-    match ring with
-    | None -> []
-    | Some trace ->
-      List.map
-        (fun (entry : Sim.Trace.entry) ->
-          (Sim.Time.to_us entry.Sim.Trace.time, ring_to_json entry))
-        (Sim.Trace.entries trace)
-  in
   (* stable merge by timestamp: within a tie, span lines keep their
-     emission order, ring lines theirs and extra lines theirs *)
+     emission order and extra lines theirs *)
   let lines =
-    List.stable_sort
-      (fun (a, _) (b, _) -> compare a b)
-      (span_lines @ ring_lines @ extra)
+    List.stable_sort (fun (a, _) (b, _) -> compare a b) (span_lines @ extra)
   in
   let buf = Buffer.create 65536 in
   List.iter
@@ -202,9 +186,9 @@ let validate events =
   in
   go Sim.Time.zero events
 
-let write_file ~path ?ring ?extra ?objects events =
+let write_file ~path ?extra ?objects events =
   let contents =
-    if Filename.check_suffix path ".jsonl" then jsonl ?ring ?extra events
+    if Filename.check_suffix path ".jsonl" then jsonl ?extra events
     else chrome_trace ?objects events
   in
   let oc = open_out path in

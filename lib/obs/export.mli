@@ -17,14 +17,11 @@ val chrome_trace : ?objects:string list -> Span.event list -> string
     events — the critical-path profiler's flow arrows
     ([ph]:"s"/"t"/"f") ride along this way. *)
 
-val jsonl :
-  ?ring:Sim.Trace.t -> ?extra:(int * string) list -> Span.event list -> string
-(** One JSON object per line. With [ring], the legacy {!Sim.Trace} entries
-    are merged in by timestamp, so both streams correlate in one file;
-    span lines carry ["stream":"span"], ring lines ["stream":"trace"].
+val jsonl : ?extra:(int * string) list -> Span.event list -> string
+(** One JSON object per line; span lines carry ["stream":"span"].
     [extra] lines — (timestamp in µs, complete JSON object) pairs, e.g.
-    [Audit.Log.export_lines] — are merged into the same timestamp order
-    (ties keep each stream's own emission order). *)
+    [Audit.Log.export_lines] — are merged in by timestamp, so the streams
+    correlate in one file (ties keep each stream's own emission order). *)
 
 val metrics_json : Registry.t -> string
 (** The registry's {!Registry.dump} as one JSON document
@@ -41,11 +38,10 @@ val validate : Span.event list -> (unit, string) result
 
 val write_file :
   path:string ->
-  ?ring:Sim.Trace.t ->
   ?extra:(int * string) list ->
   ?objects:string list ->
   Span.event list ->
   unit
 (** Dispatch on extension: [.jsonl] gets {!jsonl}, anything else Chrome
-    trace JSON ([ring] and [extra] are ignored there — Chrome has no
-    place for them; [objects] only applies to the Chrome form). *)
+    trace JSON ([extra] is ignored there — Chrome has no place for it;
+    [objects] only applies to the Chrome form). *)

@@ -3,7 +3,6 @@
 
 Usage:
     bench_diff.py --baseline bench/baseline.json --fresh BENCH_<date>.json
-                  [--warn-only]
 
 Both files are the JSON that `dune exec bench/main.exe` writes. Two metric
 families are compared, with different strictness:
@@ -30,10 +29,10 @@ families are compared, with different strictness:
   noisy, so regressions are reported but never fail the run):
     - flagged when fresh > baseline * MICRO_RATIO.
 
-Exit status: 0 when every strict check passes (or --warn-only), 1
-otherwise. CI runs this against bench/baseline.json on the quick suite;
-refresh the baseline with scripts/refresh_baseline.sh when a change
-legitimately moves the numbers.
+Exit status: 0 when every strict check passes, 1 otherwise. CI runs
+this against bench/baseline.json on the quick suite; refresh the
+baseline with scripts/refresh_baseline.sh when a change legitimately
+moves the numbers.
 """
 
 import argparse
@@ -152,11 +151,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--fresh", required=True)
-    ap.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report strict failures but always exit 0",
-    )
     args = ap.parse_args()
 
     baseline = load(args.baseline)
@@ -173,9 +167,8 @@ def main():
     for p in problems:
         print(f"FAIL  {p}")
     if problems:
-        verdict = "warn-only: not failing the run" if args.warn_only else "failing"
-        print(f"{len(problems)} regression(s) vs {args.baseline} ({verdict})")
-        return 0 if args.warn_only else 1
+        print(f"{len(problems)} regression(s) vs {args.baseline} (failing)")
+        return 1
     print(f"no regressions vs {args.baseline}")
     return 0
 

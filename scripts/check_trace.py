@@ -6,9 +6,8 @@ Accepts both formats `repdb_sim --trace` writes:
   *.jsonl     JSON Lines: one object per line, span lines carry
               {"stream":"span","ts_us":...,"site":...,"txn":...,
                "phase":...,"kind":"B"|"E"|"i"}; lines with
-              "stream":"trace" are the legacy ring trace, merged in
-              by timestamp, and lines with "stream":"audit" are the
-              message-lineage audit stream (`run --audit`), led by a
+              "stream":"audit" are the message-lineage audit stream
+              (`run --audit`), merged in by timestamp and led by a
               schema header carrying its version and site count.
               Lines with "stream":"series" are the sampled telemetry
               time series (`run --series`): one header naming every
@@ -408,7 +407,6 @@ def check_jsonl(path):
                 events.append(
                     (obj["ts_us"], (obj.get("site"), obj.get("txn")), obj["kind"])
                 )
-            # ring-trace lines interleave by design; nothing to check
     if series_lines and not events and not audit_lines:
         # a standalone series export (run --series FILE.jsonl)
         return check_series_lines(path, series_lines)

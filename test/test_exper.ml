@@ -273,6 +273,112 @@ let test_experiments_render () =
       ("E9", Exper.Experiments.e9_primitives ~quick:true ());
     ]
 
+(* One quick saturation sweep serves every test below that reads it. *)
+let quick_sweep = lazy (Exper.Experiments.saturation ~quick:true ())
+
+let test_saturation_rows_share_runs () =
+  (* E15 and E16 fold the same run of each (protocol, batch) cell, so
+     their shared columns must agree exactly *)
+  let module E = Exper.Experiments in
+  let s = Lazy.force quick_sweep in
+  check_int "one E16 row per E15 row" (List.length s.E.e15_rows)
+    (List.length s.E.e16_rows);
+  List.iter
+    (fun (r16 : E.e16_row) ->
+      let cell =
+        Printf.sprintf "%s/batch=%d" r16.E.e16_protocol r16.E.e16_batch
+      in
+      match
+        List.find_opt
+          (fun (r15 : E.e15_row) ->
+            r15.E.e15_protocol = r16.E.e16_protocol
+            && r15.E.e15_batch = r16.E.e16_batch)
+          s.E.e15_rows
+      with
+      | None -> Alcotest.fail (cell ^ ": no E15 row")
+      | Some r15 ->
+        let check_exact what =
+          Alcotest.(check (float 0.0)) (cell ^ " " ^ what)
+        in
+        check_int (cell ^ " committed") r15.E.e15_committed
+          r16.E.e16_committed;
+        check_exact "tps" r15.E.e15_tps r16.E.e16_tps;
+        check_exact "p50" r15.E.e15_p50_ms r16.E.e16_p50_ms;
+        check_exact "p95" r15.E.e15_p95_ms r16.E.e16_p95_ms)
+    s.E.e16_rows
+
+let test_saturation_e17_rows () =
+  (* E17's isolated rows come first; then one load row per E15 cell, in
+     E15's order, profiling every commit of that cell's run *)
+  let module E = Exper.Experiments in
+  let s = Lazy.force quick_sweep in
+  let isolated, load =
+    List.partition (fun r -> r.E.e17_mode = "isolated") s.E.e17_rows
+  in
+  check_int "three isolated rows" 3 (List.length isolated);
+  check_bool "isolated rows first" true (s.E.e17_rows = isolated @ load);
+  Alcotest.(check (list (pair string int)))
+    "one load row per E15 cell"
+    (List.map (fun r -> (r.E.e15_protocol, r.E.e15_batch)) s.E.e15_rows)
+    (List.map (fun r -> (r.E.e17_protocol, r.E.e17_batch)) load);
+  List.iter2
+    (fun (r15 : E.e15_row) (r17 : E.e17_row) ->
+      check_bool
+        (Printf.sprintf "%s/batch=%d: profiled %d >= window commits %d"
+           r17.E.e17_protocol r17.E.e17_batch r17.E.e17_txns
+           r15.E.e15_committed)
+        true
+        (r17.E.e17_txns >= r15.E.e15_committed))
+    s.E.e15_rows load;
+  List.iter
+    (fun (r : E.e17_row) ->
+      check_bool
+        (Printf.sprintf "%s %s: residual under 1us" r.E.e17_protocol
+           r.E.e17_mode)
+        true
+        (r.E.e17_max_residual_us < 1))
+    s.E.e17_rows
+
+let test_registry_shares_the_sweep () =
+  (* building a registry runs nothing; E15, E16 and E17 all render from
+     the one sweep it was given. The sweep keeps only the atomic rows, so
+     a table that ran its own sweep would not match. *)
+  let module E = Exper.Experiments in
+  let full = Lazy.force quick_sweep in
+  let atomic = Repdb.Protocol.(name Atomic) in
+  let s =
+    {
+      E.e15_rows =
+        List.filter (fun r -> r.E.e15_protocol = atomic) full.E.e15_rows;
+      e16_rows =
+        List.filter (fun r -> r.E.e16_protocol = atomic) full.E.e16_rows;
+      e17_rows =
+        List.filter (fun r -> r.E.e17_protocol = atomic) full.E.e17_rows;
+    }
+  in
+  check_bool "atomic rows kept" true
+    (s.E.e15_rows <> [] && s.E.e16_rows <> [] && s.E.e17_rows <> []);
+  let forced = ref 0 in
+  let sweep =
+    lazy
+      (incr forced;
+       s)
+  in
+  let registry = E.registry ~quick:true ~sweep () in
+  check_int "nothing run yet" 0 !forced;
+  List.iter
+    (fun (id, expected) ->
+      Alcotest.(check string)
+        (id ^ " renders the given sweep")
+        (Stats.Table.render expected)
+        (Stats.Table.render ((List.assoc id registry) ())))
+    [
+      ("E15", E.e15_table_of s.E.e15_rows);
+      ("E16", E.e16_table_of s.E.e16_rows);
+      ("E17", E.e17_table_of s.E.e17_rows);
+    ];
+  check_int "sweep forced once" 1 !forced
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "exper"
@@ -297,5 +403,11 @@ let () =
           tc "analytic model helpers" `Quick test_analytic_helpers;
           tc "analytic model tracks measured" `Slow test_analytic_model_tracks_measured;
           tc "tables render" `Slow test_experiments_render;
+          tc "E15 and E16 share the saturation runs" `Slow
+            test_saturation_rows_share_runs;
+          tc "E17 load rows follow the E15 cells" `Slow
+            test_saturation_e17_rows;
+          tc "registry renders E15-E17 from one sweep" `Slow
+            test_registry_shares_the_sweep;
         ] );
     ]

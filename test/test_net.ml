@@ -159,27 +159,45 @@ let test_loopback_delay () =
   check_bool "fast loopback" true (Sim.Time.to_us (Sim.Engine.now engine) < 1_000)
 
 
-let test_trace_records_events () =
+let test_rx_timing () =
+  (* the wire timestamps a receiver sees: the sender's NIC serializes its
+     datagrams one after another, self-deliveries skip the NIC, and the
+     timing is visible only while a handler runs *)
   let engine = Sim.Engine.create ~seed:11 () in
-  let trace = Sim.Trace.create ~capacity:64 () in
   let net =
     Net.Network.create engine ~n:2
       ~latency:(Net.Latency.Constant (Sim.Time.of_ms 1))
-      ~classify:(fun m -> m) ~trace ()
+      ~tx_time:(Sim.Time.of_us 100) ()
   in
-  Net.Network.set_handler net 1 (fun ~src:_ _ -> ());
-  Net.Network.send net ~src:0 ~dst:1 "hello";
+  let us = Sim.Time.to_us in
+  let seen = ref [] in
+  let record site =
+    Net.Network.set_handler net site (fun ~src:_ msg ->
+        match Net.Network.rx_timing net with
+        | None -> Alcotest.fail (msg ^ ": no wire timing inside the handler")
+        | Some rx ->
+          check_int (msg ^ " arrives now") (us (Sim.Engine.now engine))
+            (us rx.Net.Network.rx_arrive);
+          seen :=
+            (msg, (us rx.Net.Network.rx_sent, us rx.Net.Network.rx_depart,
+                   us rx.Net.Network.rx_arrive))
+            :: !seen)
+  in
+  record 0;
+  record 1;
+  Net.Network.send net ~src:0 ~dst:1 "a";
+  Net.Network.send net ~src:0 ~dst:1 "b";
+  Net.Network.send net ~src:0 ~dst:0 "self";
+  check_int "NIC backlog of two datagrams" 200 (Net.Network.tx_backlog_us net);
+  check_bool "no timing outside a handler" true
+    (Net.Network.rx_timing net = None);
   Sim.Engine.run engine ();
-  Net.Network.crash net 1;
-  Net.Network.send net ~src:0 ~dst:1 "lost";
-  Sim.Engine.run engine ();
-  let messages = List.map (fun e -> e.Sim.Trace.message) (Sim.Trace.entries trace) in
-  check_bool "send logged" true (List.exists (fun m -> m = "send hello -> S1") messages);
-  check_bool "delivery logged" true
-    (List.exists (fun m -> m = "deliver hello -> S1") messages);
-  check_bool "drop logged" true
-    (List.exists (fun m -> m = "drop(send) lost -> S1") messages)
-
+  Alcotest.(check (list (pair string (triple int int int))))
+    "(sent, depart, arrive) per delivery"
+    [ ("self", (0, 0, 10)); ("a", (0, 100, 1_100)); ("b", (0, 200, 1_200)) ]
+    (List.rev !seen);
+  check_int "backlog drained" 0 (Net.Network.tx_backlog_us net);
+  check_bool "no timing after the run" true (Net.Network.rx_timing net = None)
 
 let test_loss_arq_delivers_in_order () =
   let engine = Sim.Engine.create ~seed:21 () in
@@ -266,6 +284,6 @@ let () =
         [
           tc "classification" `Quick test_classification;
           tc "reset" `Quick test_stats_reset;
-          tc "tracing" `Quick test_trace_records_events;
+          tc "wire timing" `Quick test_rx_timing;
         ] );
     ]

@@ -375,22 +375,27 @@ let test_chrome_trace_shape () =
     (count_sub json "\"ph\":\"B\"")
     (count_sub json "\"ph\":\"E\"")
 
-let test_jsonl_merges_ring () =
+let test_jsonl_merges_extra_lines () =
+  (* extra streams (the audit log's lines) merge into the span stream by
+     timestamp; at a tie span lines come first, and each stream keeps its
+     own order *)
   let events = small_trace () in
-  let ring = Sim.Trace.create () in
-  Sim.Trace.log ring ~txn:(0, 1) ~time:(t_us 5) ~source:"site-0"
-    "commit request delivered";
-  let out = Obs.Export.jsonl ~ring events in
-  let lines = String.split_on_char '\n' (String.trim out) in
-  check_bool "every line is a JSON object" true
-    (List.for_all
-       (fun l ->
-         String.length l > 0 && l.[0] = '{' && l.[String.length l - 1] = '}')
-       lines);
-  check_bool "span stream tagged" true (contains out "\"stream\":\"span\"");
-  check_bool "ring stream merged in" true (contains out "\"stream\":\"trace\"");
-  check_bool "ring entry correlates by txn" true
-    (contains (Sim.Trace.to_jsonl ring) "\"txn\":\"T0.1\"")
+  let lines s = String.split_on_char '\n' (String.trim s) in
+  let spans = lines (Obs.Export.jsonl events) in
+  check_int "one line per span event" (List.length events) (List.length spans);
+  check_bool "span lines tagged" true
+    (List.for_all (fun l -> contains l "\"stream\":\"span\"") spans);
+  let audit n = Printf.sprintf "{\"stream\":\"audit\",\"n\":%d}" n in
+  let last =
+    List.fold_left (fun m e -> max m (Sim.Time.to_us e.Obs.Span.at)) 0 events
+  in
+  let extra =
+    [ (0, audit 0); (last, audit 1); (last, audit 2); (last + 1, audit 3) ]
+  in
+  Alcotest.(check (list string))
+    "merged by timestamp"
+    ((audit 0 :: spans) @ [ audit 1; audit 2; audit 3 ])
+    (lines (Obs.Export.jsonl ~extra events))
 
 (* ---------------------------------------------------------------- *)
 (* Satellite: categorized drop accounting                           *)
@@ -448,7 +453,8 @@ let () =
       ( "export",
         [
           tc "chrome trace shape" `Quick test_chrome_trace_shape;
-          tc "jsonl merges the ring trace" `Quick test_jsonl_merges_ring;
+          tc "jsonl merges extra lines by timestamp" `Quick
+            test_jsonl_merges_extra_lines;
         ] );
       ( "net", [ tc "drops by category" `Quick test_drops_by_category ] );
     ]

@@ -279,7 +279,66 @@ let test_sampling_does_not_perturb () =
   check_int "aborted unchanged" bare.Exper.Runner.aborted
     sampled.Exper.Runner.aborted;
   check_int "datagrams unchanged" bare.Exper.Runner.datagrams
-    sampled.Exper.Runner.datagrams
+    sampled.Exper.Runner.datagrams;
+  (* The same for the saturation runs behind E15-E17, with spans and audit
+     on too: one fully instrumented run computes what a bare run does,
+     and the sequencer wire count that E15's audit-only run does. *)
+  let saturation ~spans ~audit ~sample proto =
+    let config =
+      {
+        (Repdb.Config.default ~n_sites:3) with
+        Repdb.Config.batch =
+          Some
+            { Broadcast.Endpoint.max_msgs = 4; max_delay = Sim.Time.of_ms 1 };
+        tx_time = Sim.Time.of_us 200;
+        atomic_batch_writes = true;
+      }
+    in
+    Exper.Runner.run_saturation ~config
+      ~load:
+        {
+          Workload.target_inflight = 4;
+          warmup = Sim.Time.of_ms 50;
+          measure = Sim.Time.of_ms 200;
+        }
+      ~seed:15 ~collect_spans:spans ~collect_audit:audit
+      ?sample_every:(if sample then Some (Sim.Time.of_ms 10) else None)
+      ~clients_on:[ 1; 2 ] ~n_sites:3 proto
+  in
+  List.iter
+    (fun proto ->
+      let label what = Repdb.Protocol.name proto ^ ": " ^ what in
+      let bare = saturation ~spans:false ~audit:false ~sample:false proto in
+      let audited = saturation ~spans:false ~audit:true ~sample:false proto in
+      let full = saturation ~spans:true ~audit:true ~sample:true proto in
+      check_bool (label "fully instrumented") true
+        (Obs.Recorder.events full.Exper.Runner.sat_recorder <> []
+        && Obs.Sampler.samples full.Exper.Runner.sat_sampler <> []);
+      check_bool (label "commits in the window") true
+        (bare.Exper.Runner.sat_committed > 0);
+      check_bool (label "sequencer traffic counted") true
+        (proto <> Repdb.Protocol.Atomic
+        || audited.Exper.Runner.sat_order_wire_msgs > 0);
+      let p50_p95 (r : Exper.Runner.sat_result) =
+        List.map
+          (Stats.Summary.percentile r.Exper.Runner.sat_latency_ms)
+          [ 0.5; 0.95 ]
+      in
+      List.iter
+        (fun (r : Exper.Runner.sat_result) ->
+          check_int (label "committed") bare.Exper.Runner.sat_committed
+            r.Exper.Runner.sat_committed;
+          check_int (label "aborted") bare.Exper.Runner.sat_aborted
+            r.Exper.Runner.sat_aborted;
+          check_int (label "datagrams") bare.Exper.Runner.sat_datagrams
+            r.Exper.Runner.sat_datagrams;
+          Alcotest.(check (list (float 1e-9)))
+            (label "p50, p95") (p50_p95 bare) (p50_p95 r))
+        [ audited; full ];
+      check_int (label "order wire msgs")
+        audited.Exper.Runner.sat_order_wire_msgs
+        full.Exper.Runner.sat_order_wire_msgs)
+    Repdb.Protocol.broadcast_based
 
 let series_at_jobs n =
   with_jobs n (fun () ->

@@ -228,25 +228,6 @@ let test_engine_past_schedule_rejected () =
     (Invalid_argument "Engine.schedule_at: in the past") (fun () ->
       ignore (Sim.Engine.schedule_at e ~time:(Sim.Time.of_ms 1) (fun () -> ())))
 
-(* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_ring () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Sim.Trace.log tr ~time:(Sim.Time.of_us i) ~source:"t" (string_of_int i)
-  done;
-  check_int "bounded" 3 (Sim.Trace.length tr);
-  check_int "total" 5 (Sim.Trace.total_logged tr);
-  Alcotest.(check (list string)) "keeps newest" [ "3"; "4"; "5" ]
-    (List.map (fun e -> e.Sim.Trace.message) (Sim.Trace.entries tr))
-
-let test_trace_clear () =
-  let tr = Sim.Trace.create ~capacity:4 () in
-  Sim.Trace.logf tr ~time:Sim.Time.zero ~source:"x" "%d-%s" 1 "a";
-  Sim.Trace.clear tr;
-  check_int "empty after clear" 0 (Sim.Trace.length tr)
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "sim"
@@ -283,10 +264,5 @@ let () =
           tc "cancel" `Quick test_engine_cancel;
           tc "stop" `Quick test_engine_stop;
           tc "rejects past" `Quick test_engine_past_schedule_rejected;
-        ] );
-      ( "trace",
-        [
-          tc "ring buffer" `Quick test_trace_ring;
-          tc "clear" `Quick test_trace_clear;
         ] );
     ]
