@@ -258,9 +258,8 @@ let create engine config ~history =
   let make_site site =
     {
       core =
-        Site_core.create ~obs:config.Config.obs
-          ~sampler:config.Config.sampler engine ~site
-          ~policy:Db.Lock_manager.Wait ~history;
+        Site_core.create ~obs:config.Config.obs ~sampler:config.Config.sampler
+          ~site ~policy:Db.Lock_manager.Wait ~history ();
       orig = Txn_id.Tbl.create 32;
       part = Txn_id.Tbl.create 32;
       next_local = 0;

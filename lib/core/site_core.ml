@@ -3,7 +3,7 @@ module Txn_id = Db.Txn_id
 type t = {
   site : Net.Site_id.t;
   mutable store : Db.Version_store.t;
-  mutable locks : Db.Lock_manager.t;
+  locks : Db.Lock_manager.t;
   mutable log : Db.Redo_log.t;
   history : Verify.History.t;
   (* (txn, key) -> resume-once-granted continuation *)
@@ -11,43 +11,38 @@ type t = {
   buffers : (Op.key * Op.value) list ref Txn_id.Tbl.t;  (* reversed arrival *)
 }
 
-let create ?(obs = Obs.Recorder.none) ?(sampler = Obs.Sampler.none) _engine
-    ~site ~policy ~history =
-  (* the engine parameter keeps construction uniform with the protocol
-     layers; the site runtime itself is purely reactive *)
-  let t =
-    {
-      site;
-      store = Db.Version_store.create ();
-      locks = Db.Lock_manager.create ~policy ~on_grant:(fun _ _ _ -> ()) ();
-      log = Db.Redo_log.create ();
-      history;
-      waiting = Hashtbl.create 32;
-      buffers = Txn_id.Tbl.create 32;
-    }
-  in
+let create ?(obs = Obs.Recorder.none) ?(sampler = Obs.Sampler.none) ~site
+    ~policy ~history () =
+  let waiting = Hashtbl.create 32 in
   let on_grant txn key _mode =
-    match Hashtbl.find_opt t.waiting (txn, key) with
+    match Hashtbl.find_opt waiting (txn, key) with
     | Some continue ->
-      Hashtbl.remove t.waiting (txn, key);
+      Hashtbl.remove waiting (txn, key);
       continue ()
     | None -> ()
   in
-  t.locks <-
+  let locks =
     Db.Lock_manager.create
       ~obs:(Obs.Recorder.registry obs)
       ~obs_labels:[ ("site", string_of_int site) ]
-      ~policy ~on_grant ();
+      ~policy ~on_grant ()
+  in
   if Obs.Sampler.enabled sampler then begin
     let labels = [ ("site", string_of_int site) ] in
-    (* read through [t] so the probes track the live lock manager even if a
-       recovery swaps it out *)
     Obs.Sampler.register sampler ~name:"db_locks_held" ~labels (fun () ->
-        float_of_int (Db.Lock_manager.held_total t.locks));
+        float_of_int (Db.Lock_manager.held_total locks));
     Obs.Sampler.register sampler ~name:"db_lock_waiters" ~labels (fun () ->
-        float_of_int (Db.Lock_manager.waiting_total t.locks))
+        float_of_int (Db.Lock_manager.waiting_total locks))
   end;
-  t
+  {
+    site;
+    store = Db.Version_store.create ();
+    locks;
+    log = Db.Redo_log.create ();
+    history;
+    waiting;
+    buffers = Txn_id.Tbl.create 32;
+  }
 
 let site t = t.site
 let store t = t.store
@@ -110,6 +105,10 @@ let buffered_writes t ~txn =
              Some (k, v)
            | None -> None)
 
+let buffered_txns t = Txn_id.Tbl.fold (fun txn _ acc -> txn :: acc) t.buffers []
+
+let drop_buffer t ~txn = Txn_id.Tbl.remove t.buffers txn
+
 let cancel_waits t txn =
   let stale =
     Hashtbl.fold
@@ -119,17 +118,24 @@ let cancel_waits t txn =
   List.iter (Hashtbl.remove t.waiting) stale
 
 let forget t ~txn =
-  Txn_id.Tbl.remove t.buffers txn;
+  drop_buffer t ~txn;
   cancel_waits t txn
 
-let apply_commit t ~txn =
-  let writes = buffered_writes t ~txn in
+let apply_writes t ~txn writes =
   let index = Db.Version_store.apply t.store ~writer:txn writes in
   Db.Redo_log.append t.log ~txn ~writes ~index;
-  Verify.History.record_apply t.history ~site:t.site txn;
+  Verify.History.record_apply t.history ~site:t.site txn
+
+let apply_commit t ~txn =
+  apply_writes t ~txn (buffered_writes t ~txn);
   forget t ~txn;
   Db.Lock_manager.release_all t.locks txn
 
 let abort_local t ~txn =
   forget t ~txn;
   Db.Lock_manager.release_all t.locks txn
+
+let reset t =
+  Db.Lock_manager.clear t.locks;
+  Hashtbl.reset t.waiting;
+  Txn_id.Tbl.reset t.buffers

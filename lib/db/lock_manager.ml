@@ -177,6 +177,10 @@ let release_all t txn =
         t.on_grant id k mode)
       (List.rev !fired)
 
+let clear t =
+  Hashtbl.reset t.table;
+  Txn_id.Tbl.reset t.by_txn
+
 let holds t ~txn k mode =
   match Hashtbl.find_opt t.table k with
   | None -> false

@@ -61,6 +61,11 @@ val release_all : t -> Txn_id.t -> unit
 (** Drop every lock held or requested by the transaction (commit or abort),
     promoting queued requests; each promotion fires [on_grant]. *)
 
+val clear : t -> unit
+(** Drop every held and queued lock without firing [on_grant] — for a
+    replica whose transaction state is replaced wholesale (join-time state
+    transfer). *)
+
 val holds : t -> txn:Txn_id.t -> key -> mode -> bool
 
 val held_keys : t -> Txn_id.t -> (key * mode) list
