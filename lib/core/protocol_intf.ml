@@ -4,7 +4,8 @@
     decentralized two-phase commit — the paper's comparison point),
     {!Reliable_proto} (section 3), {!Causal_proto} (section 4) and
     {!Atomic_proto} (section 5). The experiment harness drives them
-    uniformly through this signature. *)
+    uniformly through this signature. The three broadcast protocols share
+    one replica shell, {!Bcast_shell}. *)
 
 type outcome = Verify.History.outcome
 
