@@ -61,6 +61,10 @@ type origin_state = {
 
 type site_state = {
   part : part_rec Txn_id.Tbl.t;
+      (* every transaction this site has seen, decided ones included: a
+         late NACK or echo must find its decided record, not re-create it *)
+  mutable undecided : part_rec Txn_id.Map.t;
+      (* the records of [part] not yet decided: all the commit check visits *)
   (* implicit-acknowledgment machinery *)
   mutable last_vc : Vc.t option array;  (* per sender: stamp of last delivery *)
   lock_stamp : (Op.key, Txn_id.t * Vc.t) Hashtbl.t;  (* X holder's write stamp *)
@@ -91,6 +95,7 @@ let part_of (st : site) ~txn ~origin =
       }
     in
     Txn_id.Tbl.add st.proto.part txn p;
+    st.proto.undecided <- Txn_id.Map.add txn p st.proto.undecided;
     p
 
 let bcast ?txn (st : site) payload =
@@ -119,9 +124,13 @@ let drop_lock_stamps (st : site) txn =
       | Some _ | None -> ())
     keys
 
+let mark_decided (st : site) p =
+  p.p_decided <- true;
+  st.proto.undecided <- Txn_id.Map.remove p.p_txn st.proto.undecided
+
 let abort_at t st p ~reason =
   if not p.p_decided then begin
-    p.p_decided <- true;
+    mark_decided st p;
     drop_lock_stamps st p.p_txn;
     Site_core.abort_local st.core ~txn:p.p_txn;
     Shell.decide t st p.p_txn (History.Aborted reason)
@@ -129,7 +138,7 @@ let abort_at t st p ~reason =
 
 let commit_at t st p =
   if not p.p_decided then begin
-    p.p_decided <- true;
+    mark_decided st p;
     drop_lock_stamps st p.p_txn;
     Site_core.apply_commit st.core ~txn:p.p_txn;
     Shell.decide t st p.p_txn History.Committed
@@ -164,7 +173,7 @@ let check_decision t (st : site) p =
   else if not p.p_decided && p.p_cr <> None then begin
     let me = Site_core.site st.core in
     let nacked_by_participant =
-      not (Site_id.Set.is_empty (Site_id.Set.inter p.p_nacks p.p_participants))
+      not (Site_id.Set.disjoint p.p_nacks p.p_participants)
     in
     (* A local refusal matters only if we are a participant; a joiner whose
        replayed interleaving refused a write that the electorate accepted
@@ -189,8 +198,10 @@ let check_decision t (st : site) p =
     then commit_at t st p
   end
 
+(* Iterates the map as it stands at scan start: a record decided during the
+   scan is still visited, and [check_decision] skips it. *)
 let scan_pending t (st : site) =
-  Txn_id.Tbl.iter (fun _ p -> check_decision t st p) st.proto.part
+  Txn_id.Map.iter (fun _ p -> check_decision t st p) st.proto.undecided
 
 let send_nack st p =
   if not p.p_nack_sent then begin
@@ -303,33 +314,32 @@ let deliver t (st : site) (d : payload Endpoint.delivery) =
   scan_pending t st
 
 let on_view_change t (st : site) view =
-  Txn_id.Tbl.iter
+  Txn_id.Map.iter
     (fun _ p ->
       if not p.p_decided then begin
         if p.p_cr = None && not (Broadcast.View.mem view p.p_origin) then
           abort_at t st p ~reason:History.View_change
         else check_decision t st p
       end)
-    st.proto.part
+    st.proto.undecided
 
 (* ---------------- state transfer ---------------- *)
 
 let export_snapshot (st : site) =
   let active =
-    Txn_id.Tbl.fold
+    Txn_id.Map.fold
       (fun _ p acc ->
-        if p.p_decided then acc
-        else
-          (* a copy: the live record keeps changing after the export *)
-          let frozen = { p with p_txn = p.p_txn } in
-          (frozen, Site_core.buffered_writes st.core ~txn:p.p_txn) :: acc)
-      st.proto.part []
+        (* a copy: the live record keeps changing after the export *)
+        let frozen = { p with p_txn = p.p_txn } in
+        (frozen, Site_core.buffered_writes st.core ~txn:p.p_txn) :: acc)
+      st.proto.undecided []
   in
   Snapshot { xfer = State_transfer.export st.core; active }
 
 let install_snapshot t (st : site) = function
   | Snapshot { xfer; active } ->
     Txn_id.Tbl.reset st.proto.part;
+    st.proto.undecided <- Txn_id.Map.empty;
     Hashtbl.reset st.proto.lock_stamp;
     (* Understate what we have heard: delays commits, never corrupts the
        implicit-acknowledgment argument. *)
@@ -342,7 +352,8 @@ let install_snapshot t (st : site) = function
         in
         (* the joiner has sent no NACK of its own yet *)
         let p = { ax with p_refused = refused; p_nack_sent = false } in
-        Txn_id.Tbl.add st.proto.part p.p_txn p)
+        Txn_id.Tbl.add st.proto.part p.p_txn p;
+        st.proto.undecided <- Txn_id.Map.add p.p_txn p st.proto.undecided)
       active;
     scan_pending t st;
     (* the other sites wait on us for the transactions just imported *)
@@ -353,16 +364,28 @@ let install_snapshot t (st : site) = function
 (* ---------------- construction and submission ---------------- *)
 
 let create engine config ~history =
-  Shell.create engine config ~history ~classify
-    ~proto:(fun () ->
-      {
-        part = Txn_id.Tbl.create 64;
-        last_vc = Array.make config.Config.n_sites None;
-        lock_stamp = Hashtbl.create 64;
-        my_bcasts = 0;
-      })
-    ~deliver ~on_view:on_view_change ~export:export_snapshot
-    ~install:install_snapshot
+  let t =
+    Shell.create engine config ~history ~classify
+      ~proto:(fun () ->
+        {
+          part = Txn_id.Tbl.create 64;
+          undecided = Txn_id.Map.empty;
+          last_vc = Array.make config.Config.n_sites None;
+          lock_stamp = Hashtbl.create 64;
+          my_bcasts = 0;
+        })
+      ~deliver ~on_view:on_view_change ~export:export_snapshot
+      ~install:install_snapshot
+  in
+  let sampler = config.Config.sampler in
+  if Obs.Sampler.enabled sampler then
+    Array.iter
+      (fun (st : site) ->
+        Obs.Sampler.register sampler ~name:"causal_undecided"
+          ~labels:[ ("site", string_of_int (Site_core.site st.core)) ]
+          (fun () -> float_of_int (Txn_id.Map.cardinal st.proto.undecided)))
+      t.Shell.sites;
+  t
 
 let submit t ~origin spec ~on_done =
   let o = { self_pending = 0; cr_sent = false } in
