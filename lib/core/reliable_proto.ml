@@ -126,18 +126,18 @@ let check_decision t (st : site) p =
     if Site_id.Set.cardinal p.p_no_witnesses >= Shell.majority t then
       abort_at t st p ~reason:History.Write_conflict
     else if
-      Site_id.Set.is_empty (Site_id.Set.inter p.p_votes_no p.p_participants)
+      Site_id.Set.disjoint p.p_votes_no p.p_participants
       && Endpoint.is_primary st.ep
     then begin
+      (* the electorate is the participants still in the view: it must be
+         nonempty and have voted yes to the last member *)
       let view = Endpoint.view st.ep in
-      let electorate =
-        Site_id.Set.filter
-          (fun m -> Broadcast.View.mem view m)
-          p.p_participants
-      in
+      let in_view m = Broadcast.View.mem view m in
       if
-        (not (Site_id.Set.is_empty electorate))
-        && Site_id.Set.subset electorate p.p_votes_yes
+        Site_id.Set.exists in_view p.p_participants
+        && Site_id.Set.for_all
+             (fun m -> (not (in_view m)) || Site_id.Set.mem m p.p_votes_yes)
+             p.p_participants
       then commit_at t st p
     end
   end

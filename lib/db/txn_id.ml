@@ -8,7 +8,9 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
-let hash t = Hashtbl.hash (t.origin, t.local)
+(* The record has the layout of the tuple [(origin, local)], so this is the
+   tuple's hash without allocating the tuple. *)
+let hash t = Hashtbl.hash t
 let pp ppf t = Format.fprintf ppf "T%d.%d" t.origin t.local
 let to_string t = Format.asprintf "%a" pp t
 

@@ -13,7 +13,10 @@ val compare : t -> t -> int
 (** Older first: by [local], ties by [origin]. *)
 
 val equal : t -> t -> bool
+
 val hash : t -> int
+(** Equal to [Hashtbl.hash (origin, local)], and allocation-free. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -550,6 +550,17 @@ let test_txn_id_order () =
   check_bool "site tiebreak" true (Txn.compare (txn_at 0 1) (txn_at 1 1) < 0);
   Alcotest.(check string) "pp" "T2.7" (Txn.to_string (txn_at 2 7))
 
+(* Hashing the record itself must keep every hash, and so every table's
+   iteration order, of the (origin, local) tuple. *)
+let test_txn_id_hash () =
+  for origin = 0 to 8 do
+    for local = -2 to 2000 do
+      let t = txn_at origin local in
+      if Txn.hash t <> Hashtbl.hash (origin, local) then
+        Alcotest.failf "hash of %s differs from its tuple's" (Txn.to_string t)
+    done
+  done
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "db"
@@ -597,5 +608,9 @@ let () =
           tc "monotonic indices" `Quick test_log_monotonic;
           tc "contiguity check" `Quick test_log_replay_gap;
         ] );
-      ("txn_id", [ tc "ordering" `Quick test_txn_id_order ]);
+      ( "txn_id",
+        [
+          tc "ordering" `Quick test_txn_id_order;
+          tc "hash equals the tuple's" `Quick test_txn_id_hash;
+        ] );
     ]
