@@ -15,6 +15,12 @@
       everyone and no NACK" is exactly the all-yes vote set of two-phase
       commit, collected for free from the causal delivery machinery.
 
+    Each site re-runs this commit check after every delivery (and after a
+    view change or snapshot install) over the transactions still undecided
+    there, in {!Db.Txn_id.compare} order; transactions one delivery
+    completes decide in that order. Decided transactions keep their records
+    to absorb late NACKs, but the check does not visit them.
+
     Safety: any NACK for [T] is broadcast by its sender before the sender
     delivers [T]'s commit request (writes causally precede the request), so
     causal delivery puts every NACK before any message that could complete
