@@ -191,7 +191,7 @@ let delivered_vc t = Delay_queue.delivered_vc t.delay
 let pending_causal t = Delay_queue.pending_count t.delay
 let open_frame_len t = List.length t.pending_out
 let order_backlog t = Order_state.pending_count t.orders
-let unassigned_arrivals t = List.length (Order_state.unordered_arrivals t.orders)
+let unassigned_arrivals t = Order_state.unassigned_count t.orders
 
 let set_deliver t cb = t.deliver_cb <- Some cb
 let set_on_view t cb = t.view_cb <- Some cb

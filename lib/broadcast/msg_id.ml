@@ -15,6 +15,10 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* Every field is immediate, so this hashes the record in place without
+   allocating. *)
+let hash t = Hashtbl.hash t
+
 let pp_cls ppf cls =
   Format.pp_print_string ppf
     (match cls with Reliable -> "R" | Causal -> "C" | Total -> "T")
@@ -30,3 +34,10 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -13,8 +13,13 @@ type t = { origin : Net.Site_id.t; cls : cls; seq : int }
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** [Hashtbl.hash] of the record; allocation-free. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_cls : Format.formatter -> cls -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+module Tbl : Hashtbl.S with type key = t

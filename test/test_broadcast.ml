@@ -466,6 +466,162 @@ let test_order_fast_forward () =
   ignore (Broadcast.Order_state.adopt o2 [ (mid 3 1), 3 ]);
   check_int "stale assignment dropped" 0 (Broadcast.Order_state.pending_count o2)
 
+(* Random call sequences for the hash-table rewrite and the map-and-list
+   reference it replaced. Ids come from 4 origins x 6 seqs and slots from
+   0-15, so repeated arrivals, duplicate ids, taken slots and slots below
+   the delivery position are all common. An arrival's payload is its step
+   number. *)
+type order_op =
+  | Arrive of Broadcast.Msg_id.t
+  | Order of Broadcast.Msg_id.t * int
+  | Adopt of (Broadcast.Msg_id.t * int) list
+  | Fast_forward of int
+
+let order_space = List.concat (List.init 4 (fun o -> List.init 6 (mid o)))
+
+let gen_order_ops seed =
+  let rng = Sim.Rng.create ~seed in
+  let id () = mid (Sim.Rng.int rng 4) (Sim.Rng.int rng 6) in
+  (* Half the assignments act like a sequencer: the oldest arrival not yet
+     assigned gets the next slot in turn, so runs of deliveries happen too.
+     The rest pair any id with any slot. *)
+  let waiting = Queue.create () and turn = ref 0 in
+  let assignment () =
+    if Sim.Rng.bool rng || Queue.is_empty waiting then
+      (id (), Sim.Rng.int rng 16)
+    else begin
+      let seq = !turn in
+      turn := (seq + 1) mod 16;
+      (Queue.pop waiting, seq)
+    end
+  in
+  List.init
+    (1 + Sim.Rng.int rng 60)
+    (fun _ ->
+      match Sim.Rng.int rng 20 with
+      | r when r < 9 ->
+        let id = id () in
+        Queue.push id waiting;
+        Arrive id
+      | r when r < 16 ->
+        let id, global_seq = assignment () in
+        Order (id, global_seq)
+      | r when r < 19 -> Adopt (List.init (Sim.Rng.int rng 5) (fun _ -> assignment ()))
+      | _ -> Fast_forward (Sim.Rng.int rng 17))
+
+let pp_order_op ppf = function
+  | Arrive id -> Format.fprintf ppf "arrive %a" Broadcast.Msg_id.pp id
+  | Order (id, s) -> Format.fprintf ppf "order %a@%d" Broadcast.Msg_id.pp id s
+  | Adopt l ->
+    Format.fprintf ppf "adopt [%a]"
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (id, s) ->
+           Format.fprintf ppf "%a@%d" Broadcast.Msg_id.pp id s))
+      l
+  | Fast_forward n -> Format.fprintf ppf "fast_forward %d" n
+
+(* After every step: the ready list, the counters, the unassigned arrivals
+   in order, every known assignment, and each id's assignment. *)
+let prop_order_matches_reference =
+  QCheck.Test.make ~name:"order state matches the map-and-list reference"
+    ~count:2000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module O = Broadcast.Order_state in
+      let module R = Order_state_reference in
+      let o = O.create () and r = R.create () in
+      let ops = gen_order_ops seed in
+      let step i op =
+        let got, want =
+          match op with
+          | Arrive id -> (O.note_arrival o id i, R.note_arrival r id i)
+          | Order (id, global_seq) ->
+            (O.note_order o id ~global_seq, R.note_order r id ~global_seq)
+          | Adopt l -> (O.adopt o l, R.adopt r l)
+          | Fast_forward next_deliver ->
+            O.fast_forward o ~next_deliver;
+            R.fast_forward r ~next_deliver;
+            ([], [])
+        in
+        let differs what =
+          QCheck.Test.fail_reportf "step %d (%a): %s differs after@.%a" i
+            pp_order_op op what
+            (Format.pp_print_list pp_order_op)
+            (List.filteri (fun j _ -> j <= i) ops)
+        in
+        if got <> want then differs "the ready list";
+        if O.next_deliver o <> R.next_deliver r then differs "next_deliver";
+        if O.max_assigned o <> R.max_assigned r then differs "max_assigned";
+        if O.pending_count o <> R.pending_count r then differs "pending_count";
+        let unordered = R.unordered_arrivals r in
+        if O.unordered_arrivals o <> unordered then differs "unordered_arrivals";
+        if O.unassigned_count o <> List.length unordered then
+          differs "unassigned_count";
+        if O.known_assignments o <> R.known_assignments r then
+          differs "known_assignments";
+        List.iter
+          (fun id ->
+            if O.assignment_of o id <> R.assignment_of r id then
+              differs (Format.asprintf "assignment_of %a" Broadcast.Msg_id.pp id))
+          order_space
+      in
+      List.iteri step ops;
+      true)
+
+(* The generator reaches each case the property is meant to cover, in at
+   least a tenth of the first 500 sequences. *)
+let test_order_generator_coverage () =
+  let module R = Order_state_reference in
+  let counts = Hashtbl.create 8 in
+  for seed = 0 to 499 do
+    let seen = Hashtbl.create 8 in
+    let saw case = Hashtbl.replace seen case () in
+    let r = R.create () in
+    let below_next seq = seq < R.next_deliver r in
+    let assign (id, seq) =
+      if R.assignment_of r id <> None then saw "duplicate id";
+      if R.Int_map.mem seq r.R.slot then saw "slot taken";
+      if below_next seq then saw "slot below next_deliver"
+    in
+    let run ready = if List.length ready > 1 then saw "run of deliveries" in
+    List.iteri
+      (fun i op ->
+        match op with
+        | Arrive id ->
+          if Broadcast.Msg_id.Map.mem id r.R.arrived then saw "repeated arrival";
+          if Option.fold ~none:false ~some:below_next (R.assignment_of r id) then
+            saw "arrival behind its slot";
+          run (R.note_arrival r id i)
+        | Order (id, global_seq) ->
+          assign (id, global_seq);
+          run (R.note_order r id ~global_seq)
+        | Adopt l ->
+          List.iter assign l;
+          run (R.adopt r l)
+        | Fast_forward next_deliver ->
+          let before = R.pending_count r in
+          R.fast_forward r ~next_deliver;
+          if R.pending_count r < before then saw "fast_forward drops an arrival")
+      (gen_order_ops seed);
+    Hashtbl.iter
+      (fun case () ->
+        Hashtbl.replace counts case
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts case)))
+      seen
+  done;
+  List.iter
+    (fun case ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt counts case) in
+      check_bool (Printf.sprintf "%s in %d of 500 sequences" case n) true (n >= 50))
+    [
+      "repeated arrival";
+      "arrival behind its slot";
+      "run of deliveries";
+      "duplicate id";
+      "slot taken";
+      "slot below next_deliver";
+      "fast_forward drops an arrival";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* View *)
 
@@ -1120,6 +1276,8 @@ let () =
           tc "sync roundtrip" `Quick test_order_sync_roundtrip;
           tc "unordered arrivals" `Quick test_order_unordered_arrivals;
           tc "fast forward" `Quick test_order_fast_forward;
+          tc "generator coverage" `Quick test_order_generator_coverage;
+          QCheck_alcotest.to_alcotest prop_order_matches_reference;
         ] );
       ("view", [ tc "membership algebra" `Quick test_view ]);
       ( "endpoint",
