@@ -447,6 +447,52 @@ let test_atomic_batched_crash_recover () =
   check_bool "serializable" true (R.one_copy_serializable r);
   check_bool "converged" true (R.converged r)
 
+(* The total-order state: arrivals awaiting delivery and arrivals awaiting
+   a slot. Both must empty once a run drains, and their peaks must follow
+   the load, not the length of the run. A sampled peak over a run four
+   times as long often reads one or two higher (8 then 9 or 10 here, with
+   10 transactions in flight); state that grew with the run would read
+   about four times higher. *)
+let order_probes = [ "bcast_order_backlog"; "bcast_unassigned" ]
+
+let test_atomic_order_state_bounded batch () =
+  let run txns_per_site =
+    R.run
+      (R.spec ~n_sites:5
+         ~config:{ (Repdb.Config.default ~n_sites:5) with Repdb.Config.batch }
+         ~txns_per_site ~mpl:2 ~seed:42 ~sample_every:(Sim.Time.of_ms 10)
+         Repdb.Protocol.Atomic)
+  in
+  let short = run 100 and long = run 400 in
+  List.iter
+    (fun name ->
+      check_drained short name ~context:" after 100 txns/site";
+      check_drained long name ~context:" after 400 txns/site";
+      let peak_short = probe_peak short name and peak_long = probe_peak long name in
+      check_bool (name ^ " sees in-flight messages") true (peak_short > 0.0);
+      check_bool
+        (Printf.sprintf "%s peak at 400 txns/site (%g) under twice the peak at 100 (%g)"
+           name peak_long peak_short)
+        true (peak_long < 2.0 *. peak_short))
+    order_probes
+
+(* Crashing the sequencer runs order sync and, at its rejoin, the joiner's
+   fast-forward; the total-order state must still drain everywhere. This is
+   the CI replay; sampled every 1 ms, as there, both probes peak at 11. *)
+let test_atomic_order_state_sequencer_crash () =
+  match
+    Chaos.case_of_repro "proto=atomic seed=3 sites=5 script=crash(0)@400000+300000"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok case ->
+    let spec = Chaos.spec_of_case Chaos.default_cfg case in
+    let r = R.run { spec with R.sample_every = Some (Sim.Time.of_ms 1) } in
+    List.iter
+      (fun name ->
+        check_drained r name;
+        check_bool (name ^ " sees in-flight messages") true (probe_peak r name > 0.0))
+      order_probes
+
 (* ------------------------------------------------------------------ *)
 (* State transfer in isolation *)
 
@@ -877,6 +923,13 @@ let () =
           tc "batched variant correct" `Quick test_atomic_batched_correct;
           tc "batched variant cheaper" `Quick test_atomic_batched_fewer_messages;
           tc "batched variant survives crash" `Quick test_atomic_batched_crash_recover;
+          tc "order state drains and stays bounded" `Quick
+            (test_atomic_order_state_bounded None);
+          tc "order state drains and stays bounded, frames of 16" `Quick
+            (test_atomic_order_state_bounded
+               (Some { Broadcast.Endpoint.max_msgs = 16; max_delay = Sim.Time.of_ms 1 }));
+          tc "order state drains after a sequencer crash" `Quick
+            test_atomic_order_state_sequencer_crash;
         ] );
       ( "state transfer",
         [ tc "export/import roundtrip" `Quick test_state_transfer_roundtrip ] );
