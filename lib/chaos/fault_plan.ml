@@ -207,7 +207,7 @@ let episode_of_string s =
   | None -> fail ()
   | Some lp -> (
     let kind = String.sub s 0 lp in
-    match String.index_opt s ')' with
+    match String.index_from_opt s lp ')' with
     | None -> fail ()
     | Some rp -> (
       let arg = String.sub s (lp + 1) (rp - lp - 1) in
@@ -240,14 +240,12 @@ let episode_of_string s =
                      { group = List.filter_map Fun.id members; at; duration })
               else fail ())
             | "loss" -> (
-              match
-                int_of_string_opt (String.sub arg 0 (String.length arg - 1))
-              with
-              | Some pct
-                when String.length arg > 1
-                     && arg.[String.length arg - 1] = '%'
-                     && pct >= 0 && pct < 100 ->
-                Ok (Loss_burst { pct; at; duration })
+              match String.index_opt arg '%' with
+              | Some i when i = String.length arg - 1 -> (
+                match int_of_string_opt (String.sub arg 0 i) with
+                | Some pct when pct >= 0 && pct < 100 ->
+                  Ok (Loss_burst { pct; at; duration })
+                | _ -> fail ())
               | _ -> fail ())
             | _ -> fail ())
           | _ -> fail ())

@@ -94,9 +94,12 @@ let test_plan_round_trip () =
   (match Fp.of_string "" with
   | Ok [] -> ()
   | _ -> Alcotest.fail "empty string parses to the empty plan");
-  match Fp.of_string "garbage(1)@2+3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "junk must not parse"
+  List.iter
+    (fun junk ->
+      match Fp.of_string junk with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S must not parse" junk)
+    [ "garbage(1)@2+3"; "loss()@400000+300000"; "loss(%)@1+1"; "crash)0(@1+1" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking *)
@@ -202,7 +205,18 @@ let test_repro_round_trip () =
               (Chaos.repro case' = line && case' = case)
           | Error e -> Alcotest.failf "%s: %s" line e)
         Chaos.default_cfg.Chaos.protocols)
-    [ 0; 7; 42 ]
+    [ 0; 7; 42 ];
+  (* Malformed lines are errors, never exceptions: the CLI prints them. *)
+  List.iter
+    (fun line ->
+      match Chaos.case_of_repro line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S must not parse" line)
+    [
+      "proto=atomic seed=3 sites=5 script=crash(7)@400000+300000";
+      "proto=atomic seed=3 sites=5 script=cut(0|9)@400000+300000";
+      "proto=atomic seed=3 sites=5 script=loss()@400000+300000";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Batched cases *)
