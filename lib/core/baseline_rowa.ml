@@ -226,6 +226,8 @@ let handle t ~site ~src msg =
   | Vote { txn; yes } -> note_vote t ~site txn ~voter:src ~yes
   | Abort_txn { txn } -> abort_at t ~site txn ~reason:History.Deadlock_victim
 
+let deadlock_check_period = Sim.Time.of_ms 100
+
 (* Global waits-for-graph deadlock detector: unions every site's local
    graph — a distributed deadlock appears as a cycle in the union — and
    aborts the youngest transaction on any cycle. *)
@@ -247,8 +249,8 @@ let rec deadlock_detector t =
     abort_at t ~site:origin victim ~reason:History.Deadlock_victim
   | None -> ());
   ignore
-    (Sim.Engine.schedule t.engine ~delay:t.config.Config.deadlock_check_period
-       (fun () -> deadlock_detector t))
+    (Sim.Engine.schedule t.engine ~delay:deadlock_check_period (fun () ->
+         deadlock_detector t))
 
 let create engine config ~history =
   let net =

@@ -10,10 +10,9 @@
     transaction commits iff all votes are positive.
 
     Writes {e wait} on conflicting locks, so distributed deadlocks are
-    possible; a global waits-for-graph detector (period
-    {!Config.t.deadlock_check_period}) aborts the youngest transaction on a
-    cycle. Experiment E6 counts these against the deadlock-free broadcast
-    protocols. *)
+    possible; a global waits-for-graph detector, run every 100 ms, aborts
+    the youngest transaction on a cycle. Experiment E6 counts these
+    against the deadlock-free broadcast protocols. *)
 
 include Protocol_intf.S
 

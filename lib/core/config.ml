@@ -5,7 +5,6 @@ type t = {
   suspect_after : Sim.Time.t;
   ack_delay : Sim.Time.t option;
   early_ww_abort : bool;
-  deadlock_check_period : Sim.Time.t;
   flood : bool;
   batch : Broadcast.Endpoint.batch option;
   tx_time : Sim.Time.t;
@@ -27,7 +26,6 @@ let default ~n_sites =
     suspect_after = Sim.Time.of_ms 200;
     ack_delay = Some (Sim.Time.of_ms 10);
     early_ww_abort = false;
-    deadlock_check_period = Sim.Time.of_ms 100;
     flood = false;
     batch = None;
     tx_time = Sim.Time.zero;

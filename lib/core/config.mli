@@ -14,8 +14,6 @@ type t = {
       (** causal protocol: on detecting two {e concurrent} conflicting
           writes, abort both transactions immediately (the paper's early
           conflict detection) instead of only the later-delivered one *)
-  deadlock_check_period : Sim.Time.t;
-      (** baseline: period of the global waits-for-graph detector *)
   flood : bool;  (** gossip relay in the broadcast layer (cost modelling) *)
   batch : Broadcast.Endpoint.batch option;
       (** sender-side broadcast batching: coalesce outgoing broadcasts into
@@ -71,5 +69,5 @@ type t = {
 
 val default : n_sites:int -> t
 (** 1998-LAN flavour: {!Net.Latency.lan}, 50ms heartbeats, 200ms suspicion,
-    10ms idle-ack, early abort off, 100ms deadlock checks, no flooding,
-    observability disabled. *)
+    10ms idle-ack, early abort off, no flooding, observability
+    disabled. *)
