@@ -31,6 +31,14 @@ val metrics_json : Registry.t -> string
     the string ["+inf"]). Series order is the dump's canonical
     (name, labels) order, so the document is deterministic. *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped. *)
+
+val json_float : float -> string
+(** A JSON number in [%g] form; infinities and NaN, which JSON numbers
+    cannot express, become the strings ["+inf"], ["-inf"] and ["nan"]. *)
+
 val validate : Span.event list -> (unit, string) result
 (** Structural checks an exported trace must pass: non-decreasing
     timestamps in emission order, every [End] matching an open [Begin] of

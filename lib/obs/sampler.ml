@@ -124,27 +124,6 @@ let final_values t =
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* JSON numbers cannot be inf/nan; %g exponent notation is valid JSON. *)
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%g" f
-  else if f > 0.0 then "\"+inf\""
-  else if f < 0.0 then "\"-inf\""
-  else "\"nan\""
-
 let kind_name = function Gauge -> "gauge" | Delta -> "delta"
 
 let header_json t =
@@ -153,11 +132,12 @@ let header_json t =
       String.concat ","
         (List.map
            (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+             Printf.sprintf "\"%s\":\"%s\"" (Export.json_escape k)
+               (Export.json_escape v))
            p.p_labels)
     in
     Printf.sprintf "{\"name\":\"%s\",\"labels\":{%s},\"kind\":\"%s\"}"
-      (json_escape p.p_name) labels (kind_name p.p_kind)
+      (Export.json_escape p.p_name) labels (kind_name p.p_kind)
   in
   Printf.sprintf
     "{\"stream\":\"series\",\"schema\":1,\"interval_us\":%d,\"probes\":[%s]}"
@@ -174,7 +154,7 @@ let to_jsonl t =
         (Printf.sprintf "{\"stream\":\"series\",\"ts_us\":%d,\"values\":[%s]}"
            (Sim.Time.to_us at)
            (String.concat ","
-              (Array.to_list (Array.map json_float row))));
+              (Array.to_list (Array.map Export.json_float row))));
       Buffer.add_char buf '\n')
     (samples t);
   Buffer.contents buf
