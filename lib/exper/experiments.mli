@@ -70,43 +70,36 @@ val e14_audit_complexity : ?quick:bool -> unit -> Stats.Table.t
     ordering message in one). The last column is the online
     broadcast-contract monitors' verdict for the run. *)
 
-type e15_row = {
-  e15_protocol : string;
-  e15_batch : int;  (** frame capacity (max_msgs) *)
-  e15_committed : int;  (** committed inside the measurement window *)
-  e15_tps : float;
-  e15_p50_ms : float;
-  e15_p95_ms : float;
-  e15_order_per_commit : float;
-      (** sequencer order datagrams per committed transaction — one frame's
-          worth of assignments travels as one datagram, so this drops
-          toward 1/batch for the atomic protocol *)
-  e15_contract_ok : bool;  (** online broadcast-contract monitors' verdict *)
+type load_row = {
+  load_protocol : string;
+  load_batch : int;  (** frame capacity (max_msgs) *)
+  load_committed : int;  (** committed inside the measurement window *)
+  load_tps : float;
+  load_p50_ms : float;
+  load_p95_ms : float;
+  load_order_per_commit : float;
+      (** sequencer order datagrams in the window per committed
+          transaction — one frame's worth of assignments travels as one
+          datagram, so this drops toward 1/batch for the atomic protocol *)
+  load_contract_ok : bool;  (** online broadcast-contract monitors' verdict *)
+  load_means : (string * float) list;
+      (** windowed mean of each diagnosed resource's site-summed series,
+          keyed [evq]/[nic_us]/[delay]/[order]/[waiters]/[outst] *)
+  load_series : string;
+      (** the cell's full telemetry time series, already rendered to the
+          JSONL schema of {!Obs.Sampler.to_jsonl} — the benchmark driver
+          writes the knee rows' series to [E16_series_<protocol>.jsonl] *)
 }
+(** One (protocol, batch size) cell of the saturation sweep: a single run
+    feeds its E15 row and its E16 row. *)
 
-val e15_table_of : e15_row list -> Stats.Table.t
+val e15_table_of : load_row list -> Stats.Table.t
 (** E15, broadcast batching / group commit at saturation: a closed-loop
     load (fixed in-flight population per site, time-windowed measurement)
     under a per-datagram NIC serialization cost, swept over frame
     capacities 1/4/16/64 for the three broadcast protocols. Shows
     committed throughput, p50/p95 commit latency, and the amortized
     sequencer order-datagram cost per committed transaction. *)
-
-type e16_row = {
-  e16_protocol : string;
-  e16_batch : int;  (** frame capacity (max_msgs), as in E15 *)
-  e16_committed : int;
-  e16_tps : float;
-  e16_p50_ms : float;
-  e16_p95_ms : float;
-  e16_means : (string * float) list;
-      (** windowed mean of each diagnosed resource's site-summed series,
-          keyed [evq]/[nic_us]/[delay]/[order]/[waiters]/[outst] *)
-  e16_series : string;
-      (** the cell's full telemetry time series, already rendered to the
-          JSONL schema of {!Obs.Sampler.to_jsonl} — the benchmark driver
-          writes the knee rows' series to [E16_series_<protocol>.jsonl] *)
-}
 
 type e16_knee = {
   e16k_protocol : string;
@@ -116,11 +109,11 @@ type e16_knee = {
                            (denominator floored at 1) *)
 }
 
-val e16_knees : e16_row list -> e16_knee list
+val e16_knees : load_row list -> e16_knee list
 (** Per protocol (grid order): locate the throughput knee and attribute it
     to the resource whose windowed mean grew most versus the batch=1 run. *)
 
-val e16_table_of : e16_row list -> Stats.Table.t
+val e16_table_of : load_row list -> Stats.Table.t
 (** E16, saturation telemetry: per (protocol, batch size) cell of the
     sweep, the measurement-window mean of six resource backlogs — engine
     event queue, NIC serialization backlog, causal delay-queue depth,
@@ -158,20 +151,20 @@ val e17_table_of : e17_row list -> Stats.Table.t
     at saturation. *)
 
 type saturation = {
-  e15_rows : e15_row list;
-  e16_rows : e16_row list;  (** same cells, in the same order, as E15's *)
-  e17_rows : e17_row list;  (** the isolated rows, then the load rows *)
+  load_rows : load_row list;  (** E15's and E16's rows *)
+  e17_rows : e17_row list;
+      (** the isolated rows, then one load row per [load_rows] cell *)
 }
 
 val saturation : ?quick:bool -> unit -> saturation
-(** The one simulation sweep behind E15, E16 and E17. Three isolated runs
-    (one client loop on one site, constant 1ms links — the per-path
-    tagged hop count must equal E14's closed-form round depth: reliable
-    2, causal 2, atomic 1) feed E17's isolated rows. Each (protocol,
-    batch size) cell of the saturation grid is a single run with audit,
-    spans and 10ms telemetry sampling all on, folded into its E15, E16
-    and E17 load rows. Deterministic and pool-size independent like
-    {!all}. *)
+(** The one simulation sweep behind E15, E16 and E17; every cell is a
+    windowed {!Runner.run}. Three isolated runs (one client loop on one
+    site, constant 1ms links — the per-path tagged hop count must equal
+    E14's closed-form round depth: reliable 2, causal 2, atomic 1) feed
+    E17's isolated rows. Each (protocol, batch size) cell of the
+    saturation grid is a single run with audit, spans and 10ms telemetry
+    sampling all on, folded into its load row and its E17 load row.
+    Deterministic and pool-size independent like {!all}. *)
 
 val registry :
   ?quick:bool ->

@@ -8,12 +8,21 @@ type event =
   | Heal
   | Set_loss of Net.Network.loss option
 
+type window = { warmup : Sim.Time.t; measure : Sim.Time.t }
+
+let window_end w = Sim.Time.add w.warmup w.measure
+
+let in_window w at =
+  Sim.Time.( <= ) w.warmup at && Sim.Time.( < ) at (window_end w)
+
 type spec = {
   protocol : Repdb.Protocol.id;
   config : Repdb.Config.t;
   profile : Workload.profile;
   txns_per_site : int;
+  window : window option;
   mpl : int;
+  clients_on : Net.Site_id.t list;
   seed : int;
   background_rate : float option;
   events : (Sim.Time.t * event) list;
@@ -23,16 +32,19 @@ type spec = {
   sample_every : Sim.Time.t option;
 }
 
-let spec ?config ?(profile = Workload.default) ?(txns_per_site = 200) ?(mpl = 2)
-    ?(seed = 42) ?background_rate ?(events = []) ?(drain_limit = Sim.Time.of_sec 30.0)
-    ?(collect_spans = false) ?(collect_audit = false) ?sample_every ~n_sites
-    protocol =
+let spec ?config ?(profile = Workload.default) ?(txns_per_site = 200) ?window
+    ?(mpl = 2) ?clients_on ?(seed = 42) ?background_rate ?(events = [])
+    ?(drain_limit = Sim.Time.of_sec 30.0) ?(collect_spans = false)
+    ?(collect_audit = false) ?sample_every ~n_sites protocol =
   {
     protocol;
     config = Option.value config ~default:(Repdb.Config.default ~n_sites);
     profile;
     txns_per_site;
+    window;
     mpl;
+    clients_on =
+      Option.value clients_on ~default:(Net.Site_id.all ~n:n_sites);
     seed;
     background_rate;
     events;
@@ -86,26 +98,22 @@ let run s =
   let module P = (val Repdb.Protocol.get s.protocol) in
   let engine = Sim.Engine.create ~seed:s.seed () in
   let history = History.create () in
-  (* Each run gets its own recorder (never shared across domains): the
-     result is a pure function of the spec, so pool size cannot matter. *)
+  let n = s.config.Repdb.Config.n_sites in
+  (* Each run owns its recorder, audit log and sampler (never shared across
+     domains): the result is a pure function of the spec, so pool size
+     cannot matter. *)
   let recorder =
-    if s.collect_spans then Obs.Recorder.create () else s.config.Repdb.Config.obs
+    if s.collect_spans then Obs.Recorder.create () else Obs.Recorder.none
   in
-  let audit =
-    if s.collect_audit then Audit.Log.create ~n:s.config.Repdb.Config.n_sites
-    else s.config.Repdb.Config.audit
-  in
-  (* Same per-run-ownership rule as the recorder: [sample_every] installs a
-     fresh sampler so results stay a pure function of the spec. *)
+  let audit = if s.collect_audit then Audit.Log.create ~n else Audit.Log.none in
   let sampler =
     match s.sample_every with
     | Some interval -> Obs.Sampler.create ~interval ()
-    | None -> s.config.Repdb.Config.sampler
+    | None -> Obs.Sampler.none
   in
   let config = { s.config with Repdb.Config.obs = recorder; audit; sampler } in
   let system = P.create engine config ~history in
   install_sim_probes sampler engine;
-  let n = s.config.Repdb.Config.n_sites in
   let committed = ref 0
   and aborted = ref 0
   and bg_committed = ref 0
@@ -118,14 +126,30 @@ let run s =
   let bg_ids = ref Txn_id.Set.empty in
   let down = Array.make n false in
 
-  (* Closed-loop foreground clients. *)
-  let quota = Array.make n s.txns_per_site in
+  (* Closed-loop foreground clients: [mpl] per client site, each submitting
+     its next transaction when the previous one decides. A quota run stops
+     each site after [txns_per_site]; a windowed run has no quota, stops
+     submitting when the window closes, and counts only the decisions
+     that land inside it. *)
+  let site_quota, submit_until, counts =
+    match s.window with
+    | None -> (s.txns_per_site, max_int, fun _ -> true)
+    | Some w -> (max_int, window_end w, in_window w)
+  in
+  let quota =
+    Array.init n (fun site ->
+        if List.mem site s.clients_on then site_quota else 0)
+  in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
   let gens =
     Array.init n (fun _ -> Workload.create s.profile ~rng)
   in
   let rec client site =
-    if quota.(site) > 0 && not down.(site) then begin
+    if
+      quota.(site) > 0
+      && (not down.(site))
+      && Sim.Time.( < ) (Sim.Engine.now engine) submit_until
+    then begin
       quota.(site) <- quota.(site) - 1;
       let op = Workload.next gens.(site) in
       let read_only = Repdb.Op.is_read_only op in
@@ -133,21 +157,20 @@ let run s =
       incr submitted;
       ignore
         (P.submit system ~origin:site op ~on_done:(fun outcome ->
+             let now = Sim.Engine.now engine in
              incr decided;
-             last_decision := Sim.Engine.now engine;
-             let ms =
-               Sim.Time.to_ms (Sim.Time.diff (Sim.Engine.now engine) start)
-             in
-             (match outcome with
-             | History.Committed ->
-               incr committed;
-               if read_only then Stats.Summary.add ro_latency ms
-               else begin
-                 Stats.Summary.add latency ms;
-                 series :=
-                   (Sim.Time.to_sec (Sim.Engine.now engine), ms) :: !series
-               end
-             | History.Aborted _ -> incr aborted);
+             last_decision := now;
+             (if counts now then
+                let ms = Sim.Time.to_ms (Sim.Time.diff now start) in
+                match outcome with
+                | History.Committed ->
+                  incr committed;
+                  if read_only then Stats.Summary.add ro_latency ms
+                  else begin
+                    Stats.Summary.add latency ms;
+                    series := (Sim.Time.to_sec now, ms) :: !series
+                  end
+                | History.Aborted _ -> incr aborted);
              (* next request after a short think time *)
              ignore
                (Sim.Engine.schedule engine ~delay:(Sim.Time.of_us 100) (fun () ->
@@ -208,27 +231,28 @@ let run s =
              | Set_loss loss -> P.set_loss system loss)))
     s.events;
 
-  (* Drive the simulation in slices until every foreground transaction has
-     decided (the membership timers keep the event queue nonempty forever,
-     so "queue empty" is not a termination signal). *)
-  let slice = Sim.Time.of_ms 100 in
-  let horizon = ref slice in
-  let expected () =
-    (* foreground quota that will ever be submitted *)
-    !submitted + Array.fold_left ( + ) 0 quota
-  in
-  let rec drive () =
-    Sim.Engine.run_until engine !horizon;
-    if
-      !decided < expected ()
-      && Sim.Time.( < ) (Sim.Engine.now engine)
-           (Sim.Time.add !last_decision s.drain_limit)
-    then begin
-      horizon := Sim.Time.add !horizon slice;
-      drive ()
-    end
-  in
-  drive ();
+  (* Drive the load to its end. A windowed run ends when the window
+     closes. A quota run advances in slices until every foreground
+     transaction has decided (the membership timers keep the event queue
+     nonempty forever, so "queue empty" is not a termination signal) or
+     none has decided for [drain_limit]. *)
+  (match s.window with
+  | Some w -> Sim.Engine.run_until engine (window_end w)
+  | None ->
+    let slice = Sim.Time.of_ms 100 in
+    let expected () =
+      (* foreground quota that will ever be submitted *)
+      !submitted + Array.fold_left ( + ) 0 quota
+    in
+    let rec drive horizon =
+      Sim.Engine.run_until engine horizon;
+      if
+        !decided < expected ()
+        && Sim.Time.( < ) (Sim.Engine.now engine)
+             (Sim.Time.add !last_decision s.drain_limit)
+      then drive (Sim.Time.add horizon slice)
+    in
+    drive slice);
   (* The last origin-side decision does not mean the replicas are done:
      votes, acknowledgments and apply events for the tail are still in
      flight, and scheduled failure events may lie beyond the workload.
@@ -248,7 +272,11 @@ let run s =
      on the disabled log. *)
   ignore (Audit.Log.finalize audit);
 
-  let elapsed_sec = Sim.Time.to_sec !last_decision in
+  let elapsed_sec =
+    match s.window with
+    | Some w -> Sim.Time.to_sec w.measure
+    | None -> Sim.Time.to_sec !last_decision
+  in
   let reasons =
     List.fold_left
       (fun acc r ->
@@ -290,126 +318,6 @@ let run s =
     recorder;
     audit;
     sampler;
-  }
-
-(* ---------------- saturation (closed-loop, time-windowed) ---------------- *)
-
-type sat_result = {
-  sat_protocol_name : string;
-  sat_committed : int;
-  sat_aborted : int;
-  sat_throughput_tps : float;
-  sat_latency_ms : Stats.Summary.t;
-  sat_order_wire_msgs : int;
-  sat_datagrams : int;
-  sat_audit : Audit.Log.t;
-  sat_sampler : Obs.Sampler.t;
-  sat_recorder : Obs.Recorder.t;
-}
-
-let run_saturation ?config ?(profile = Workload.default)
-    ?(load = Workload.closed_loop_default) ?(seed = 42)
-    ?(collect_spans = false) ?(collect_audit = false) ?sample_every ?clients_on
-    ~n_sites protocol =
-  Workload.validate_closed_loop load;
-  let has_clients =
-    match clients_on with
-    | None -> fun _ -> true
-    | Some sites ->
-      let a = Array.make n_sites false in
-      List.iter (fun s -> a.(s) <- true) sites;
-      fun site -> a.(site)
-  in
-  let module P = (val Repdb.Protocol.get protocol) in
-  let engine = Sim.Engine.create ~seed () in
-  let history = History.create () in
-  let audit =
-    if collect_audit then Audit.Log.create ~n:n_sites else Audit.Log.none
-  in
-  let base = Option.value config ~default:(Repdb.Config.default ~n_sites) in
-  let sampler =
-    match sample_every with
-    | Some interval -> Obs.Sampler.create ~interval ()
-    | None -> base.Repdb.Config.sampler
-  in
-  let recorder =
-    if collect_spans then Obs.Recorder.create () else base.Repdb.Config.obs
-  in
-  let config =
-    { base with Repdb.Config.audit; sampler; obs = recorder }
-  in
-  let system = P.create engine config ~history in
-  install_sim_probes sampler engine;
-  let w_start = load.Workload.warmup in
-  let w_end = Sim.Time.add load.Workload.warmup load.Workload.measure in
-  let in_window at =
-    Sim.Time.compare w_start at <= 0 && Sim.Time.compare at w_end < 0
-  in
-  let committed = ref 0 and aborted = ref 0 in
-  let latency = Stats.Summary.create () in
-  let rng = Sim.Rng.split (Sim.Engine.rng engine) in
-  let gens = Array.init n_sites (fun _ -> Workload.create profile ~rng) in
-  (* Closed-loop clients with no quota: the population of in-flight
-     transactions is the load level, and only decisions landing inside the
-     measurement window count. Submission stops at the window's end; the
-     drain below lets stragglers decide (excluded) so the audit monitors
-     judge a quiesced system. *)
-  let rec client site =
-    if Sim.Time.compare (Sim.Engine.now engine) w_end < 0 then begin
-      let op = Workload.next gens.(site) in
-      let start = Sim.Engine.now engine in
-      ignore
-        (P.submit system ~origin:site op ~on_done:(fun outcome ->
-             let now = Sim.Engine.now engine in
-             (match outcome with
-             | History.Committed ->
-               if in_window now then begin
-                 incr committed;
-                 Stats.Summary.add latency
-                   (Sim.Time.to_ms (Sim.Time.diff now start))
-               end
-             | History.Aborted _ -> if in_window now then incr aborted);
-             ignore
-               (Sim.Engine.schedule engine ~delay:(Sim.Time.of_us 100)
-                  (fun () -> client site))))
-    end
-  in
-  for site = 0 to n_sites - 1 do
-    if has_clients site then
-      for _client = 1 to load.Workload.target_inflight do
-        client site
-      done
-  done;
-  Sim.Engine.run_until engine w_end;
-  Sim.Engine.run_until engine (Sim.Time.add w_end (Sim.Time.of_sec 3.0));
-  (* Undecided stragglers keep open phase spans; balance the trace so the
-     critical-path profiler (which only walks decided transactions) sees a
-     well-formed stream. *)
-  Obs.Recorder.close_dangling recorder ~at:(Sim.Engine.now engine);
-  ignore (Audit.Log.finalize audit);
-  (* Windowed sequencer wire cost: assignments of one batched sweep share a
-     (sequencer, frame) tag and travelled as one datagram. *)
-  let sat_order_wire_msgs =
-    Audit.Accounting.order_wire_msgs
-      (List.filter
-         (fun ev ->
-           match ev with
-           | Audit.Event.Order_assign { at; _ } -> in_window at
-           | _ -> false)
-         (Audit.Log.events audit))
-  in
-  {
-    sat_protocol_name = P.name;
-    sat_committed = !committed;
-    sat_aborted = !aborted;
-    sat_throughput_tps =
-      float_of_int !committed /. Sim.Time.to_sec load.Workload.measure;
-    sat_latency_ms = latency;
-    sat_order_wire_msgs;
-    sat_datagrams = Net.Net_stats.datagrams (P.net_stats system);
-    sat_audit = audit;
-    sat_sampler = sampler;
-    sat_recorder = recorder;
   }
 
 let check_execution ?require_all_decided ?deadlock_free result =

@@ -67,27 +67,6 @@ let next g =
     Repdb.Op.read_write ~reads ~writes
   end
 
-type closed_loop = {
-  target_inflight : int;
-  warmup : Sim.Time.t;
-  measure : Sim.Time.t;
-}
-
-let closed_loop_default =
-  {
-    target_inflight = 8;
-    warmup = Sim.Time.of_sec 1.0;
-    measure = Sim.Time.of_sec 4.0;
-  }
-
-let validate_closed_loop l =
-  if l.target_inflight <= 0 then
-    invalid_arg "Workload.closed_loop: target_inflight <= 0";
-  if Sim.Time.compare l.measure Sim.Time.zero <= 0 then
-    invalid_arg "Workload.closed_loop: measure window must be positive";
-  if Sim.Time.compare l.warmup Sim.Time.zero < 0 then
-    invalid_arg "Workload.closed_loop: negative warmup"
-
 let cross_conflict_pair profile ~rng =
   let a = Sim.Rng.int rng profile.n_keys in
   let b = (a + 1 + Sim.Rng.int rng (Stdlib.max 1 (profile.n_keys - 1))) mod profile.n_keys in

@@ -27,24 +27,6 @@ val next : gen -> Repdb.Op.spec
 
 val profile_of : gen -> profile
 
-(** {2 Closed-loop load} *)
-
-type closed_loop = {
-  target_inflight : int;
-      (** concurrent client loops per site, each resubmitting the moment
-          its previous transaction decides — the load level is a target
-          population of in-flight transactions, not a fixed count *)
-  warmup : Sim.Time.t;  (** excluded from measurement *)
-  measure : Sim.Time.t;  (** measurement window length, after warmup *)
-}
-
-val closed_loop_default : closed_loop
-(** 8 in-flight per site, 1s warmup, 4s measurement — enough to saturate
-    the sequencer on a LAN while keeping runs fast. *)
-
-val validate_closed_loop : closed_loop -> unit
-(** Raises [Invalid_argument] on a non-positive population or window. *)
-
 (** {2 Special-purpose workloads} *)
 
 val cross_conflict_pair :
