@@ -163,13 +163,13 @@ let bench_obs_disabled () =
   (* E13's guard: every protocol is instrumented, so disabled-mode
      observability must stay a single predictable branch per call *)
   let obs = Obs.Recorder.none in
-  let c = Obs.Registry.counter (Obs.Recorder.registry obs) ~name:"bench" () in
-  let h = Obs.Registry.hist (Obs.Recorder.registry obs) ~name:"bench" () in
   fun () ->
     for i = 1 to 100 do
-      Obs.Registry.incr c;
-      Obs.Registry.observe h (float_of_int i);
-      Obs.Recorder.submit obs ~at:(Sim.Time.of_us i) ~site:0 ~origin:0 ~local:i
+      let at = Sim.Time.of_us i in
+      Obs.Recorder.submit obs ~at ~site:0 ~origin:0 ~local:i;
+      Obs.Recorder.phase_begin obs ~at ~site:0 ~origin:0 ~local:i
+        Obs.Span.Broadcast;
+      Obs.Recorder.decide obs ~at ~site:0 ~origin:0 ~local:i ~committed:true
     done
 
 let bench_fault_plan () =
@@ -351,8 +351,8 @@ let write_bench_json ~experiments ~micro ~total_wall =
   Printf.printf "\nwrote %s\n" file
 
 (* ------------------------------------------------------------------ *)
-(* --gate-obs: CI overhead gate on disabled-mode instrumentation — the obs
-   recorder/registry AND the audit log, which follows the same
+(* --gate-obs: CI overhead gate on disabled-mode instrumentation — the span
+   recorder, the sampler AND the audit log, which follows the same
    disabled-singleton discipline. A wall clock over a big loop (not
    Bechamel: the gate needs a stable pass/fail, not an estimate) with a
    bound loose enough for CI noise and tight enough to catch an accidental
@@ -360,8 +360,6 @@ let write_bench_json ~experiments ~micro ~total_wall =
 
 let run_gate_obs () =
   let obs = Obs.Recorder.none in
-  let c = Obs.Registry.counter (Obs.Recorder.registry obs) ~name:"gate" () in
-  let h = Obs.Registry.hist (Obs.Recorder.registry obs) ~name:"gate" () in
   let audit = Audit.Log.none in
   let sampler = Obs.Sampler.none in
   (* Pre-built so the loop measures the disabled calls themselves, not the
@@ -371,13 +369,10 @@ let run_gate_obs () =
   let iters = 5_000_000 in
   for i = 1 to 100_000 do
     (* warm-up *)
-    Obs.Registry.incr c;
-    Obs.Registry.observe h (float_of_int i)
+    Obs.Recorder.submit obs ~at:(Sim.Time.of_us i) ~site:0 ~origin:0 ~local:i
   done;
   let t0 = Unix.gettimeofday () in
   for i = 1 to iters do
-    Obs.Registry.incr c;
-    Obs.Registry.observe h (float_of_int i);
     Obs.Recorder.submit obs ~at:(Sim.Time.of_us i) ~site:0 ~origin:0 ~local:i;
     Audit.Log.send audit ~at:(Sim.Time.of_us i) ~origin:0 ~cls:Audit.Event.C
       ~seq:i ~txn:None ~vc:None;
@@ -387,7 +382,7 @@ let run_gate_obs () =
     Obs.Sampler.tick sampler ~at:(Sim.Time.of_us i)
   done;
   let wall = Unix.gettimeofday () -. t0 in
-  let calls = 7 * iters in
+  let calls = 5 * iters in
   let ns = wall *. 1e9 /. float_of_int calls in
   let bound = 50.0 in
   Printf.printf

@@ -54,33 +54,32 @@ let print_drops (r : Exper.Runner.result) =
            (List.map (fun (c, k) -> Printf.sprintf "%s=%d" c k) drops)
        ^ ")")
 
-(* Metrics snapshot: the run's registry plus the network drop counters
-   (kept by Net_stats, surfaced here so the JSON is self-contained) and, on
-   sampled runs, every telemetry probe exported twice — [probe_<name>_total]
-   is the run total (gauges read now, delta probes the cumulative increase
-   since registration) and [probe_<name>_last] the final sampling window
-   only (delta probes report per-window increments; folding the two under
-   one name silently mixed their units). *)
+(* Metrics snapshot: the network drop counters (kept by Net_stats) and
+   every telemetry probe exported twice — [probe_<name>_total] is the run
+   total (gauges read now, delta probes the cumulative increase since
+   registration) and [probe_<name>_last] the final sampling window only
+   (delta probes report per-window increments; folding the two under one
+   name silently mixed their units). *)
 let export_metrics (r : Exper.Runner.result) path =
-  let registry = Obs.Recorder.registry r.Exper.Runner.recorder in
-  List.iter
-    (fun (category, count) ->
-      Obs.Registry.add
-        (Obs.Registry.counter registry ~name:"net_dropped_datagrams"
-           ~labels:[ ("category", category) ] ())
-        count)
-    r.Exper.Runner.drops_by_category;
-  List.iter
-    (fun ((name, labels), v) ->
-      Obs.Registry.set_gauge registry ~name:("probe_" ^ name ^ "_total")
-        ~labels v)
-    (Obs.Sampler.final_values r.Exper.Runner.sampler);
-  List.iter
-    (fun ((name, labels), v) ->
-      Obs.Registry.set_gauge registry ~name:("probe_" ^ name ^ "_last")
-        ~labels v)
-    (Obs.Sampler.last_values r.Exper.Runner.sampler);
-  write_text_file path (Obs.Export.metrics_json registry);
+  let drops =
+    List.map
+      (fun (category, count) ->
+        ( ("net_dropped_datagrams", [ ("category", category) ]),
+          Obs.Export.Counter count ))
+      r.Exper.Runner.drops_by_category
+  in
+  let probes suffix values =
+    List.map
+      (fun ((name, labels), v) ->
+        (("probe_" ^ name ^ suffix, labels), Obs.Export.Gauge v))
+      values
+  in
+  let sampler = r.Exper.Runner.sampler in
+  write_text_file path
+    (Obs.Export.metrics_json
+       (drops
+       @ probes "_total" (Obs.Sampler.final_values sampler)
+       @ probes "_last" (Obs.Sampler.last_values sampler)));
   Printf.printf "metrics        : -> %s\n" path
 
 (* Telemetry time series recorded by a sampled run (--sample-every /
@@ -94,7 +93,7 @@ let export_series sampler path =
 
 (* --sample-every/--series resolution, shared by run and fuzz --replay:
    an explicit cadence wins; otherwise asking for a series file (or a
-   metrics snapshot, which reports probe gauges) samples at 1ms. *)
+   metrics snapshot, which reports the probes) samples at 1ms. *)
 let resolve_sample_every ~sample_every_us ~series ~metrics =
   match sample_every_us with
   | Some us when us > 0 -> Some (Sim.Time.of_us us)
@@ -207,7 +206,7 @@ let run_cmd protocol n_sites txns mpl seed ro_fraction theta n_keys reads writes
     in
     let spec =
       Exper.Runner.spec ~config ~profile ~txns_per_site:txns ~mpl ~seed ~n_sites
-        ~collect_spans:(trace <> None || metrics <> None)
+        ~collect_spans:(trace <> None)
         ~collect_audit:(audit || audit_report <> None)
         ?sample_every:(resolve_sample_every ~sample_every_us ~series ~metrics)
         proto
@@ -323,8 +322,10 @@ let metrics_file =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"FILE"
         ~doc:
-          "dump the run's metrics registry (counters, gauges, histograms, \
-           plus network drop counters) as JSON. Implies span collection.")
+          "write the run's metrics as JSON: the network drop counters and \
+           every telemetry probe's run total and last sampled value. \
+           Implies sampling at 1ms unless $(b,--sample-every) says \
+           otherwise.")
 
 let run_term =
   Term.(

@@ -60,7 +60,6 @@ val create_group :
   ?batch:batch ->
   ?tx_time:Sim.Time.t ->
   ?loss:Net.Network.loss ->
-  ?obs:Obs.Registry.t ->
   ?sampler:Obs.Sampler.t ->
   ?audit:Audit.Log.t ->
   ?bug_causal_inversion:bool ->
@@ -78,13 +77,13 @@ val create_group :
     batching; raises [Invalid_argument] if [max_msgs < 1]. [tx_time]
     (default zero) is the per-datagram NIC serialization cost passed to
     {!Net.Network.create} — the bandwidth resource batching amortizes.
-    [obs] (default disabled) receives per-site
-    [bcast_reliable]/[bcast_causal]/[bcast_total], [app_deliver] and
-    [view_change] counters. [sampler] (default disabled) gets per-site
-    pull-probes — [bcast_delay_depth], [bcast_open_frame],
-    [bcast_order_backlog], [bcast_unassigned] — plus the network-level
-    [net_in_flight] / [net_busy_links] / [net_tx_backlog_us] gauges and
-    the [net_drops] delta; see {!Obs.Sampler}. [audit] (default disabled) receives the full
+    [sampler] (default disabled) gets per-site pull-probes — the
+    [bcast_delay_depth], [bcast_open_frame], [bcast_order_backlog] and
+    [bcast_unassigned] gauges, then the [bcast_reliable] /
+    [bcast_causal] / [bcast_total] (broadcasts sent per class),
+    [app_deliver], [view_change] and [frames] (wire frames flushed)
+    deltas — plus the network's probes ({!Net.Network.register_probes});
+    see {!Obs.Sampler}. [audit] (default disabled) receives the full
     message-lineage event stream — sends, per-site deliveries, order
     assignments, join re-basing and fault marks — checked online by
     {!Audit.Log}'s contract monitors. The [bug_*] flags plant deliberate

@@ -260,8 +260,8 @@ let create engine config ~history =
   let make_site site =
     {
       core =
-        Site_core.create ~obs:config.Config.obs ~sampler:config.Config.sampler
-          ~site ~policy:Db.Lock_manager.Wait ~history ();
+        Site_core.create ~sampler:config.Config.sampler ~site
+          ~policy:Db.Lock_manager.Wait ~history ();
       orig = Txn_id.Tbl.create 32;
       part = Txn_id.Tbl.create 32;
       next_local = 0;
@@ -282,17 +282,10 @@ let create engine config ~history =
       Net.Network.set_handler net site (fun ~src msg -> handle t ~site ~src msg))
     t.sites;
   (if Obs.Sampler.enabled config.Config.sampler then begin
-     (* no broadcast layer here, so the baseline registers the network-level
+     (* no broadcast layer here, so the baseline registers the network's
         probes itself (the endpoint group does it for the other protocols) *)
      let sampler = config.Config.sampler in
-     Obs.Sampler.register sampler ~name:"net_in_flight" (fun () ->
-         float_of_int (Net.Network.in_flight net));
-     Obs.Sampler.register sampler ~name:"net_busy_links" (fun () ->
-         float_of_int (Net.Network.busy_links net));
-     Obs.Sampler.register sampler ~name:"net_tx_backlog_us" (fun () ->
-         float_of_int (Net.Network.tx_backlog_us net));
-     Obs.Sampler.register sampler ~name:"net_drops" ~kind:Obs.Sampler.Delta
-       (fun () -> float_of_int (Net.Net_stats.drops (Net.Network.stats net)));
+     Net.Network.register_probes net sampler;
      Array.iter
        (fun st ->
          let site = Site_core.site st.core in

@@ -11,17 +11,16 @@
 type t
 
 val create :
-  ?obs:Obs.Recorder.t ->
   ?sampler:Obs.Sampler.t ->
   site:Net.Site_id.t ->
   policy:Db.Lock_manager.policy ->
   history:Verify.History.t ->
   unit ->
   t
-(** [obs] (default {!Obs.Recorder.none}) supplies the metrics registry the
-    lock manager reports to, labelled with this site. [sampler] (default
-    disabled) gets the per-site [db_locks_held] / [db_lock_waiters]
-    pull-probes. *)
+(** [sampler] (default disabled) gets the per-site [db_locks_held] /
+    [db_lock_waiters] gauges and the [db_lock_granted] /
+    [db_lock_queued] / [db_lock_refused] deltas
+    ({!Db.Lock_manager.decisions}). *)
 
 val site : t -> Net.Site_id.t
 val store : t -> Db.Version_store.t

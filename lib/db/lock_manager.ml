@@ -13,25 +13,20 @@ type t = {
   on_grant : Txn_id.t -> key -> mode -> unit;
   table : (key, entry) Hashtbl.t;
   by_txn : key list ref Txn_id.Tbl.t;  (* keys a txn holds or waits on *)
-  (* resolved once at creation; disabled handles record nothing *)
-  c_granted : Obs.Registry.counter;
-  c_queued : Obs.Registry.counter;
-  c_refused : Obs.Registry.counter;
+  mutable granted : int;
+  mutable queued : int;
+  mutable refused : int;
 }
 
-let create ?(obs = Obs.Registry.disabled) ?(obs_labels = []) ~policy ~on_grant
-    () =
-  let counter name =
-    Obs.Registry.counter obs ~name ~labels:obs_labels ()
-  in
+let create ~policy ~on_grant () =
   {
     policy;
     on_grant;
     table = Hashtbl.create 64;
     by_txn = Txn_id.Tbl.create 64;
-    c_granted = counter "lock_granted";
-    c_queued = counter "lock_queued";
-    c_refused = counter "lock_refused";
+    granted = 0;
+    queued = 0;
+    refused = 0;
   }
 
 let entry t k =
@@ -121,9 +116,9 @@ let acquire_decide t ~txn k mode =
 let acquire t ~txn k mode =
   let decision = acquire_decide t ~txn k mode in
   (match decision with
-  | Granted -> Obs.Registry.incr t.c_granted
-  | Queued -> Obs.Registry.incr t.c_queued
-  | Refused -> Obs.Registry.incr t.c_refused);
+  | Granted -> t.granted <- t.granted + 1
+  | Queued -> t.queued <- t.queued + 1
+  | Refused -> t.refused <- t.refused + 1);
   decision
 
 (* Promote queued requests after holders changed. Returns grants to fire
@@ -172,7 +167,7 @@ let release_all t txn =
       !keys;
     List.iter
       (fun (id, k, mode) ->
-        Obs.Registry.incr t.c_granted;
+        t.granted <- t.granted + 1;
         track t id k;
         t.on_grant id k mode)
       (List.rev !fired)
@@ -215,6 +210,11 @@ let held_total t =
 
 let waiting_total t =
   Hashtbl.fold (fun _ e acc -> acc + List.length e.queue) t.table 0
+
+let decisions t = function
+  | Granted -> t.granted
+  | Queued -> t.queued
+  | Refused -> t.refused
 
 let waits_for_edges t =
   Hashtbl.fold

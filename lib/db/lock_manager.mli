@@ -35,17 +35,9 @@ type decision =
 type t
 
 val create :
-  ?obs:Obs.Registry.t ->
-  ?obs_labels:(string * string) list ->
-  policy:policy ->
-  on_grant:(Txn_id.t -> key -> mode -> unit) ->
-  unit ->
-  t
+  policy:policy -> on_grant:(Txn_id.t -> key -> mode -> unit) -> unit -> t
 (** [on_grant] fires when a previously queued request is granted by a
-    release (never re-entrantly from {!acquire}). [obs] (default disabled)
-    receives [lock_granted] / [lock_queued] / [lock_refused] counters,
-    tagged with [obs_labels] (e.g. the site); promotions at release time
-    count as grants. *)
+    release (never re-entrantly from {!acquire}). *)
 
 val acquire : t -> txn:Txn_id.t -> key -> mode -> decision
 (** Request a lock. Re-acquiring a held mode (or [Shared] while holding
@@ -82,6 +74,13 @@ val held_total : t -> int
 val waiting_total : t -> int
 (** Total queued requests across all keys — the sampler's
     [db_lock_waiters] probe. *)
+
+val decisions : t -> decision -> int
+(** How many {!acquire} calls have answered this decision since
+    {!create}, plus, for [Granted], the queued requests a release
+    promoted. {!clear} keeps the counts. Read by the sampler's
+    [db_lock_granted] / [db_lock_queued] / [db_lock_refused] delta
+    probes. *)
 
 val waits_for_edges : t -> (Txn_id.t * Txn_id.t) list
 (** Edges [waiter -> blocker]: each queued transaction waits for every

@@ -89,6 +89,16 @@ let tx_backlog_us t =
       else acc)
     0 t.tx_clock
 
+let register_probes t sampler =
+  let gauge name read =
+    Obs.Sampler.register sampler ~name (fun () -> float_of_int (read t))
+  in
+  gauge "net_in_flight" in_flight;
+  gauge "net_busy_links" busy_links;
+  gauge "net_tx_backlog_us" tx_backlog_us;
+  Obs.Sampler.register sampler ~name:"net_drops" ~kind:Obs.Sampler.Delta
+    (fun () -> float_of_int (Net_stats.drops t.stats))
+
 let set_handler t site handler =
   if site < 0 || site >= t.n then invalid_arg "Network.set_handler: bad site";
   t.handlers.(site) <- Some handler

@@ -93,6 +93,10 @@ val tx_backlog_us : 'm t -> int
     in microseconds — the serialization backlog batching amortizes. Always
     0 when the network was created with [tx_time] zero. *)
 
+val register_probes : 'm t -> Obs.Sampler.t -> unit
+(** Register the [net_in_flight], [net_busy_links] and [net_tx_backlog_us]
+    gauges and the [net_drops] delta, in that order. *)
+
 val set_handler : 'm t -> Site_id.t -> (src:Site_id.t -> 'm -> unit) -> unit
 (** Install the message handler for a site. Must be called once per site
     before any traffic reaches it. *)

@@ -107,7 +107,3 @@ let merge_into ~src ~dst =
     end
   end;
   dst.total <- dst.total + src.total
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f" t.total
-    (mean t) (percentile t 0.5) (percentile t 0.95) (percentile t 0.99)

@@ -49,6 +49,3 @@ val merge_into : src:t -> dst:t -> unit
 (** Bucket-wise sum; commutative and associative, so a fold over
     per-worker histograms is order-insensitive. Raises [Invalid_argument]
     if the bounds differ. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["n=… mean=… p50=… p95=… p99=…"]. *)

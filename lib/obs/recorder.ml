@@ -1,6 +1,5 @@
 type t = {
   on : bool;
-  reg : Registry.t;
   mutable events : Span.event list;  (* reversed emission order *)
   open_spans : (int * int * int, Span.phase) Hashtbl.t;
       (* (origin, local, site) -> currently open phase *)
@@ -8,13 +7,11 @@ type t = {
 
 let none =
   (* never mutated: every recording entry point checks [on] first *)
-  { on = false; reg = Registry.disabled; events = []; open_spans = Hashtbl.create 1 }
+  { on = false; events = []; open_spans = Hashtbl.create 1 }
 
-let create () =
-  { on = true; reg = Registry.create (); events = []; open_spans = Hashtbl.create 256 }
+let create () = { on = true; events = []; open_spans = Hashtbl.create 256 }
 
 let enabled t = t.on
-let registry t = t.reg
 
 let emit t ~at ~site ~origin ~local ~phase ~kind ~note =
   t.events <-

@@ -1,10 +1,10 @@
-(** Per-run event recorder: the object the protocols are instrumented
+(** Per-run span recorder: the object the protocols are instrumented
     against.
 
-    A recorder bundles the span stream with a metrics {!Registry}. The
-    shared {!none} recorder is disabled and never mutated, so it is safe as
-    a configuration default across domains; every instrumentation call on
-    it is a single branch.
+    A recorder holds one run's transaction lifecycle spans. The shared
+    {!none} recorder is disabled and never mutated, so it is safe as a
+    configuration default across domains; every instrumentation call on it
+    is a single branch.
 
     Span well-formedness is guaranteed by construction: a transaction has
     at most one open phase per site ({!phase_begin} closes the previous
@@ -20,7 +20,6 @@ val none : t
 
 val create : unit -> t
 val enabled : t -> bool
-val registry : t -> Registry.t
 
 (** {2 Span instrumentation} — all no-ops when disabled. *)
 

@@ -171,6 +171,8 @@ let sample_sampler () =
   Obs.Sampler.register s ~name:"depth" ~labels:[ ("site", "0") ]
     (fun () -> 2.5);
   Obs.Sampler.register s ~name:"rate" ~kind:Obs.Sampler.Delta (fun () -> !c);
+  (* a count past six significant digits must print exactly *)
+  Obs.Sampler.register s ~name:"words" (fun () -> 1_234_567.0);
   Obs.Sampler.tick s ~at:Sim.Time.zero;
   c := 4.0;
   Obs.Sampler.tick s ~at:(Sim.Time.of_ms 1);
@@ -190,9 +192,10 @@ let test_jsonl_shape () =
   check_bool "header marks delta kind" true (contains header "\"kind\":\"delta\"");
   (match List.tl out with
   | [ r0; r1 ] ->
-    check_string "row 0" "{\"stream\":\"series\",\"ts_us\":0,\"values\":[2.5,0]}" r0;
+    check_string "row 0"
+      "{\"stream\":\"series\",\"ts_us\":0,\"values\":[2.5,0,1234567]}" r0;
     check_string "row 1"
-      "{\"stream\":\"series\",\"ts_us\":1000,\"values\":[2.5,4]}" r1
+      "{\"stream\":\"series\",\"ts_us\":1000,\"values\":[2.5,4,1234567]}" r1
   | _ -> Alcotest.fail "expected two rows")
 
 let test_jsonl_nonfinite () =
@@ -207,9 +210,9 @@ let test_csv_shape () =
   let s = sample_sampler () in
   match lines (Obs.Sampler.to_csv s) with
   | [ header; r0; r1 ] ->
-    check_string "csv header" "ts_us,depth{site=0},rate" header;
-    check_string "csv row 0" "0,2.5,0" r0;
-    check_string "csv row 1" "1000,2.5,4" r1
+    check_string "csv header" "ts_us,depth{site=0},rate,words" header;
+    check_string "csv row 0" "0,2.5,0,1234567" r0;
+    check_string "csv row 1" "1000,2.5,4,1234567" r1
   | out -> Alcotest.failf "expected 3 csv lines, got %d" (List.length out)
 
 let test_write_file_dispatch () =
@@ -254,9 +257,76 @@ let test_run_wires_probe_catalogue () =
       "sim_events_pending"; "sim_events_processed"; "gc_minor_words";
       "net_in_flight"; "net_busy_links"; "net_tx_backlog_us"; "net_drops";
       "bcast_delay_depth"; "bcast_open_frame"; "bcast_order_backlog";
-      "bcast_unassigned"; "db_locks_held"; "db_lock_waiters";
-      "proto_outstanding";
+      "bcast_unassigned"; "bcast_reliable"; "bcast_causal"; "bcast_total";
+      "app_deliver"; "view_change"; "frames"; "db_locks_held";
+      "db_lock_waiters"; "db_lock_granted"; "db_lock_queued";
+      "db_lock_refused"; "proto_outstanding";
     ]
+
+(* The endpoint's event counters, read as delta-probe totals, against the
+   audit log of the same fault-free run: per site, the broadcasts sent in
+   each class, the application deliveries, and the wire frames (the
+   distinct frame ids on its sends). *)
+let test_counters_match_audit () =
+  let n = 3 in
+  let run proto batch =
+    let config = { (Repdb.Config.default ~n_sites:n) with Repdb.Config.batch } in
+    Exper.Runner.run
+      (Exper.Runner.spec ~config ~n_sites:n ~txns_per_site:20 ~mpl:2 ~seed:7
+         ~collect_audit:true ~sample_every:(Sim.Time.of_ms 1) proto)
+  in
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun batch ->
+          let r = run proto batch in
+          let totals = Obs.Sampler.final_values r.Exper.Runner.sampler in
+          let events = Audit.Log.events r.Exper.Runner.audit in
+          let label what site =
+            Printf.sprintf "%s%s site %d: %s" (Repdb.Protocol.name proto)
+              (if batch = None then "" else " in frames")
+              site what
+          in
+          for site = 0 to n - 1 do
+            let total name =
+              int_of_float
+                (List.assoc (name, [ ("site", string_of_int site) ]) totals)
+            in
+            let sends =
+              List.filter_map
+                (function
+                  | Audit.Event.Send { msg; frame; _ }
+                    when msg.Audit.Event.origin = site ->
+                    Some (msg.Audit.Event.cls, frame)
+                  | _ -> None)
+                events
+            in
+            let delivers =
+              List.filter
+                (function
+                  | Audit.Event.Deliver { site = s; _ } -> s = site
+                  | _ -> false)
+                events
+            in
+            List.iter
+              (fun (cls, name) ->
+                check_int (label name site)
+                  (List.length (List.filter (fun (c, _) -> c = cls) sends))
+                  (total name))
+              Audit.Event.
+                [ (R, "bcast_reliable"); (C, "bcast_causal");
+                  (T, "bcast_total") ];
+            check_int (label "app_deliver" site) (List.length delivers)
+              (total "app_deliver");
+            check_int (label "frames" site)
+              (List.length
+                 (List.sort_uniq compare (List.filter_map snd sends)))
+              (total "frames")
+          done)
+        [ None;
+          Some { Broadcast.Endpoint.max_msgs = 4; max_delay = Sim.Time.of_ms 1 };
+        ])
+    Repdb.Protocol.broadcast_based
 
 let test_run_disabled_by_default () =
   let spec = Exper.Runner.spec ~n_sites:3 ~txns_per_site:10 ~seed:7
@@ -408,6 +478,8 @@ let () =
         [
           tc "sampled run wires the probe catalogue" `Slow
             test_run_wires_probe_catalogue;
+          tc "endpoint counters match the audit log" `Slow
+            test_counters_match_audit;
           tc "sampling off by default" `Quick test_run_disabled_by_default;
           tc "sampling does not perturb the run" `Slow
             test_sampling_does_not_perturb;
