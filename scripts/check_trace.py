@@ -18,7 +18,8 @@ Accepts both formats `repdb_sim --trace` writes:
               an audit report ({"stream":"audit-report"}, the output
               of `run --audit-report` / `audit --json`) — or a
               critical-path blame document ({"stream":"critpath"},
-              the output of `explain --json`).
+              the output of `explain --json`) — or a metrics document
+              ({"stream":"metrics"}, the output of `run --metrics`).
 
 Checks, per file:
   - parses at all, and contains at least one event;
@@ -42,7 +43,12 @@ Checks, per file:
     every row carrying exactly one numeric value per probe;
   - critpath documents: known schema, a blame row per segment kind,
     and every transaction row telescoping — contiguous segments
-    summing exactly to decide minus submit, residual under 1us.
+    summing exactly to decide minus submit, residual under 1us;
+  - metrics documents: known schema, and every series carrying a
+    string name, a labels object with string values, a kind of
+    counter or gauge and a numeric value (or "+inf"/"-inf"/"nan");
+    counter values are non-negative integers, and no (name, labels)
+    pair appears twice.
 
 Exit status: 0 if every file passes, 1 otherwise. Used by CI on the
 traces produced for each protocol and for the audited chaos replays.
@@ -256,6 +262,56 @@ def check_series_lines(path, lines):
     return True
 
 
+METRICS_SCHEMA_VERSION = 1
+
+
+def check_metrics(path, doc):
+    if doc.get("schema") != METRICS_SCHEMA_VERSION:
+        return fail(
+            path,
+            f"metrics schema {doc.get('schema')!r}, "
+            f"expected {METRICS_SCHEMA_VERSION}",
+        )
+    series = doc.get("series")
+    if not isinstance(series, list):
+        return fail(path, "metrics document missing series list")
+    seen = set()
+    for i, s in enumerate(series):
+        if not isinstance(s, dict):
+            return fail(path, f"series {i} is not an object")
+        name, labels = s.get("name"), s.get("labels")
+        if not (isinstance(name, str) and name):
+            return fail(path, f"series {i} without a name")
+        if not (
+            isinstance(labels, dict)
+            and all(isinstance(v, str) for v in labels.values())
+        ):
+            return fail(path, f"series {i} ({name}): labels must map to strings")
+        kind, value = s.get("kind"), s.get("value")
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if kind == "counter":
+            if not (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= 0):
+                return fail(
+                    path,
+                    f"series {i} ({name}): counter value {value!r} is not "
+                    "a non-negative integer",
+                )
+        elif kind == "gauge":
+            if not numeric and value not in SERIES_NONFINITE:
+                return fail(
+                    path, f"series {i} ({name}): value {value!r} is not a number"
+                )
+        else:
+            return fail(path, f"series {i} ({name}): kind {kind!r} unknown")
+        key = (name, tuple(sorted(labels.items())))
+        if key in seen:
+            return fail(path, f"series {i}: duplicate series {name} {labels}")
+        seen.add(key)
+    print(f"{path}: metrics OK ({len(series)} series)")
+    return True
+
+
 def fail(path, msg):
     print(f"{path}: FAIL: {msg}")
     return False
@@ -371,8 +427,12 @@ def check_chrome(path):
         return check_audit_report(path, doc)
     if isinstance(doc, dict) and doc.get("stream") == "critpath":
         return check_critpath(path, doc)
+    if isinstance(doc, dict) and doc.get("stream") == "metrics":
+        return check_metrics(path, doc)
     if not isinstance(doc, dict) or "traceEvents" not in doc:
-        raise ValueError("not a traceEvents object, audit report or critpath")
+        raise ValueError(
+            "not a traceEvents object, audit report, critpath or metrics"
+        )
     events = []
     flows = []
     for e in doc["traceEvents"]:
