@@ -40,18 +40,19 @@ type t = {
       (** link-level datagram loss with ARQ retransmission; [None] = clean
           links (the default; experiment E12 sweeps this) *)
   obs : Obs.Recorder.t;
-      (** observability sink: transaction lifecycle spans and metrics from
-          every protocol layer. Defaults to the disabled
-          {!Obs.Recorder.none} — one predictable branch per
-          instrumentation point, nothing recorded. *)
+      (** span sink: every protocol's transaction lifecycle spans.
+          Defaults to the disabled {!Obs.Recorder.none} — one
+          predictable branch per instrumentation point, nothing
+          recorded. *)
   audit : Audit.Log.t;
       (** message-lineage audit log: every broadcast send/deliver/order
           event, checked online against the primitive's contract (see
           {!Audit.Log}). Defaults to the disabled {!Audit.Log.none} — same
           one-branch discipline as [obs]. *)
   sampler : Obs.Sampler.t;
-      (** time-series telemetry sampler: every layer registers pull-probes
-          (queue depths, backlogs, lock counts) at construction, snapshot
+      (** time-series telemetry sampler and metrics store: every layer
+          registers pull-probes (queue depths, backlogs, lock counts, and
+          its event counters as delta probes) at construction, snapshot
           on a fixed simulated-time cadence (see {!Obs.Sampler}). Defaults
           to the disabled {!Obs.Sampler.none} — registration is then one
           branch and nothing is recorded. *)

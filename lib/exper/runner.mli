@@ -50,9 +50,9 @@ type spec = {
   drain_limit : Sim.Time.t;
       (** quota runs: give up waiting for stragglers after this *)
   collect_spans : bool;
-      (** record transaction lifecycle spans and layer metrics in a fresh
-          {!Obs.Recorder} (returned in the result). Off by default —
-          instrumentation then costs one branch per event. *)
+      (** record transaction lifecycle spans in a fresh {!Obs.Recorder}
+          (returned in the result). Off by default — instrumentation then
+          costs one branch per event. *)
   collect_audit : bool;
       (** record the message-lineage audit log and run its online
           broadcast-contract monitors in a fresh {!Audit.Log} (returned in
@@ -61,8 +61,9 @@ type spec = {
   sample_every : Sim.Time.t option;
       (** snapshot every registered telemetry pull-probe on this
           simulated-time cadence in a fresh {!Obs.Sampler} (returned in the
-          result); every layer registers its queue/backlog/lock probes on
-          it at construction. [None] (default): no sampling. *)
+          result); every layer registers its queue/backlog/lock probes and
+          its event counters on it at construction. [None] (default): no
+          sampling. *)
 }
 
 val spec :
@@ -117,7 +118,7 @@ type result = {
   history : Verify.History.t;  (** every transaction of the run *)
   stores : (Net.Site_id.t * Db.Version_store.t) list;
   recorder : Obs.Recorder.t;
-      (** the run's span/metrics recorder — disabled unless the spec set
+      (** the run's span recorder — disabled unless the spec set
           [collect_spans]; feed {!Obs.Recorder.events} to
           {!Obs.Span_stats.of_events} or {!Obs.Export} *)
   audit : Audit.Log.t;
