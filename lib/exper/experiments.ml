@@ -679,16 +679,16 @@ let e13_phase_breakdown ?(quick = false) () =
         Obs.Span_stats.of_events (Obs.Recorder.events r.R.recorder)
       in
       List.iter
-        (fun (phase, h) ->
+        (fun (phase, s) ->
           T.add_row table
             [
               name proto;
               phase;
-              T.cell_int (Obs.Hist.count h);
-              T.cell_ms (Obs.Hist.mean h);
-              T.cell_ms (Obs.Hist.percentile h 0.5);
-              T.cell_ms (Obs.Hist.percentile h 0.95);
-              T.cell_ms (Obs.Hist.percentile h 0.99);
+              T.cell_int (Stats.Summary.count s);
+              T.cell_ms (Stats.Summary.mean s);
+              T.cell_ms (Obs.Span_stats.percentile s 0.5);
+              T.cell_ms (Obs.Span_stats.percentile s 0.95);
+              T.cell_ms (Obs.Span_stats.percentile s 0.99);
             ])
         (Obs.Span_stats.named stats))
     protocols results;

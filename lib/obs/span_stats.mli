@@ -13,10 +13,10 @@
       replication lag the origin's client never sees. *)
 
 type t = {
-  lock_wait : Hist.t;
-  broadcast : Hist.t;
-  vote_collect : Hist.t;
-  decide_to_apply : Hist.t;
+  lock_wait : Stats.Summary.t;
+  broadcast : Stats.Summary.t;
+  vote_collect : Stats.Summary.t;
+  decide_to_apply : Stats.Summary.t;
 }
 
 val of_events : Span.event list -> t
@@ -24,5 +24,12 @@ val of_events : Span.event list -> t
     closed as ["dangling"] (the transaction never decided) are excluded —
     their duration is an artifact of when the run stopped. *)
 
-val named : t -> (string * Hist.t) list
-(** [(label, hist)] rows in presentation order. *)
+val named : t -> (string * Stats.Summary.t) list
+(** [(label, durations)] rows in presentation order. *)
+
+val percentile : Stats.Summary.t -> float -> float
+(** [percentile s q] — the nearest-rank sample (rank [ceil (q * n)], at
+    least 1) rounded up to the smallest bound of the 1-2-5 series from
+    0.01 ms to 10 s that it does not exceed, or the observed maximum when
+    that sample is above 10 s: E13's percentile columns print these
+    bounds. 0 if empty. Raises [Invalid_argument] outside [\[0, 1\]]. *)

@@ -39,6 +39,10 @@ let sorted t =
     t.sorted <- Some a;
     a
 
+let nth_smallest t k =
+  if k < 1 || k > t.count then invalid_arg "Summary.nth_smallest";
+  (sorted t).(k - 1)
+
 let percentile t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Summary.percentile: out of [0,1]";
   if t.count = 0 then 0.0

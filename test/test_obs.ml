@@ -1,6 +1,7 @@
-(* The observability layer: histogram bucket-edge determinism, span
-   well-formedness per protocol, spans and probe totals byte-identical at
-   pool sizes 1 vs 8, and the exporters' structural guarantees. *)
+(* The observability layer: span-phase percentiles against the old
+   histogram, span well-formedness per protocol, spans and probe totals
+   byte-identical at pool sizes 1 vs 8, and the exporters' structural
+   guarantees. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -26,70 +27,83 @@ let count_sub s sub =
 let contains s sub = count_sub s sub > 0
 
 (* ---------------------------------------------------------------- *)
-(* Histograms                                                       *)
+(* Span-phase percentiles                                           *)
 (* ---------------------------------------------------------------- *)
 
-let test_hist_bucket_edges () =
-  let h = Obs.Hist.create ~bounds:[| 1.0; 2.0; 5.0 |] () in
-  let idx = Obs.Hist.bucket_index h in
-  check_int "below first bound" 0 (idx 0.5);
-  (* a value exactly on an edge lands in the bucket that edge closes *)
-  check_int "edge 1.0 closes bucket 0" 0 (idx 1.0);
-  check_int "just above 1.0" 1 (idx 1.000001);
-  check_int "edge 2.0 closes bucket 1" 1 (idx 2.0);
-  check_int "edge 5.0 closes bucket 2" 2 (idx 5.0);
-  check_int "above last bound overflows" 3 (idx 5.1);
-  (* the shared default bounds agree with their own edges everywhere *)
-  let d = Obs.Hist.create () in
-  Array.iteri
-    (fun k b ->
-      check_int (Printf.sprintf "default edge %g closes bucket %d" b k) k
-        (Obs.Hist.bucket_index d b))
-    Obs.Hist.default_bounds
+let summary_of values =
+  let s = Stats.Summary.create () in
+  List.iter (Stats.Summary.add s) values;
+  s
 
-let test_hist_percentile_nearest_rank () =
-  let h = Obs.Hist.create ~bounds:[| 1.0; 2.0; 5.0 |] () in
-  check_float "empty histogram reports 0" 0.0 (Obs.Hist.percentile h 0.5);
-  List.iter (Obs.Hist.observe h) [ 0.5; 1.5; 4.0; 7.0 ];
-  check_int "count" 4 (Obs.Hist.count h);
-  (* nearest-rank: p50 over 4 samples is the 2nd, in the (1,2] bucket *)
-  check_float "p50 is a bucket upper bound" 2.0 (Obs.Hist.percentile h 0.5);
-  check_float "p75" 5.0 (Obs.Hist.percentile h 0.75);
-  (* the overflow bucket reports the exact observed maximum *)
-  check_float "p100 reports observed max" 7.0 (Obs.Hist.percentile h 1.0);
-  check_float "min tracked exactly" 0.5 (Obs.Hist.min_value h);
-  check_float "max tracked exactly" 7.0 (Obs.Hist.max_value h);
-  check_bool "out-of-range quantile rejected" true
-    (try
-       ignore (Obs.Hist.percentile h 1.5);
-       false
-     with Invalid_argument _ -> true)
+let test_percentile_bucket_edges () =
+  let one v = Obs.Span_stats.percentile (summary_of [ v ]) 1.0 in
+  check_float "below the first bound" 0.01 (one 0.005);
+  check_float "just above 1.0 rounds up" 2.0 (one 1.000001);
+  check_float "above 10 s reports the sample" 10000.5 (one 10000.5);
+  (* a sample exactly on a bound reports that bound *)
+  Array.iter
+    (fun b -> check_float (Printf.sprintf "bound %g reports itself" b) b (one b))
+    Hist_reference.default_bounds
 
-let test_hist_merge_commutative () =
-  let bounds = [| 1.0; 2.0; 5.0 |] in
-  let mk values =
-    let h = Obs.Hist.create ~bounds () in
-    List.iter (Obs.Hist.observe h) values;
-    h
+let test_percentile_nearest_rank () =
+  let empty = Stats.Summary.create () in
+  check_float "empty summary reports 0" 0.0
+    (Obs.Span_stats.percentile empty 0.5);
+  let s = summary_of [ 0.5; 1.5; 4.0; 12000.0 ] in
+  (* nearest rank: p50 over 4 samples is the 2nd, 1.5, in the (1,2] bucket *)
+  check_float "p50 is a bound" 2.0 (Obs.Span_stats.percentile s 0.5);
+  check_float "p75" 5.0 (Obs.Span_stats.percentile s 0.75);
+  check_float "p0 is the first sample's bound" 0.5
+    (Obs.Span_stats.percentile s 0.0);
+  (* past the last bound: the exact observed maximum *)
+  check_float "p100 reports observed max" 12000.0
+    (Obs.Span_stats.percentile s 1.0);
+  List.iter
+    (fun q ->
+      check_bool
+        (Printf.sprintf "quantile %g rejected" q)
+        true
+        (try
+           ignore (Obs.Span_stats.percentile s q);
+           false
+         with Invalid_argument _ -> true))
+    [ 1.5; -0.1 ]
+
+(* The summary against the histogram it replaced: same count, bit-equal
+   mean and percentile, for samples on, just off and past every bound. *)
+let prop_matches_hist_reference =
+  let bits = Int64.bits_of_float in
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [
+          return 0.0;
+          oneofa Hist_reference.default_bounds;
+          map2 ( +. ) (oneofa Hist_reference.default_bounds)
+            (oneofl [ -1e-9; 1e-9 ]);
+          float_range 10000.0 1e6;
+          float_range 0.0 10000.0;
+        ])
   in
-  let a () = mk [ 0.5; 1.5; 9.0 ] and b () = mk [ 2.0; 2.0; 4.9 ] in
-  let ab = Obs.Hist.create ~bounds () and ba = Obs.Hist.create ~bounds () in
-  Obs.Hist.merge_into ~src:(a ()) ~dst:ab;
-  Obs.Hist.merge_into ~src:(b ()) ~dst:ab;
-  Obs.Hist.merge_into ~src:(b ()) ~dst:ba;
-  Obs.Hist.merge_into ~src:(a ()) ~dst:ba;
-  check_int "merged count" 6 (Obs.Hist.count ab);
-  Alcotest.(check (list (pair (float 0.0) int)))
-    "bucket counts are order-insensitive" (Obs.Hist.bucket_counts ab)
-    (Obs.Hist.bucket_counts ba);
-  check_float "merged percentiles agree" (Obs.Hist.percentile ab 0.99)
-    (Obs.Hist.percentile ba 0.99);
-  let other = Obs.Hist.create ~bounds:[| 1.0; 10.0 |] () in
-  check_bool "bound mismatch rejected" true
-    (try
-       Obs.Hist.merge_into ~src:other ~dst:ab;
-       false
-     with Invalid_argument _ -> true)
+  let q =
+    QCheck.Gen.(
+      oneof [ oneofl [ 0.0; 0.5; 0.95; 0.99; 1.0 ]; float_range 0.0 1.0 ])
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"span percentiles match the old histogram"
+    QCheck.(
+      make
+        ~print:
+          Print.(pair (list (Printf.sprintf "%h")) (Printf.sprintf "%h"))
+        Gen.(pair (list_size (int_range 0 40) sample) q))
+    (fun (values, q) ->
+      let h = Hist_reference.create () in
+      List.iter (Hist_reference.observe h) values;
+      let s = summary_of values in
+      Stats.Summary.count s = Hist_reference.count h
+      && bits (Stats.Summary.mean s) = bits (Hist_reference.mean h)
+      && bits (Obs.Span_stats.percentile s q)
+         = bits (Hist_reference.percentile h q))
 
 (* ---------------------------------------------------------------- *)
 (* Recorder well-formedness by construction                         *)
@@ -124,10 +138,10 @@ let test_recorder_balances_by_construction () =
     (count Obs.Span.End);
   let stats = Obs.Span_stats.of_events events in
   check_int "lock-wait span measured" 1
-    (Obs.Hist.count stats.Obs.Span_stats.lock_wait);
+    (Stats.Summary.count stats.Obs.Span_stats.lock_wait);
   (* two broadcast spans were opened but the dangling one is excluded *)
   check_int "dangling span excluded from stats" 1
-    (Obs.Hist.count stats.Obs.Span_stats.broadcast)
+    (Stats.Summary.count stats.Obs.Span_stats.broadcast)
 
 let test_export_validate_rejects_malformed () =
   let ev ~at ~kind ~phase =
@@ -244,7 +258,7 @@ let test_span_sequence proto () =
   (* replication lag is measurable: origin decide -> last replica apply *)
   let stats = Obs.Span_stats.of_events events in
   check_bool "decide->apply lag measured" true
-    (Obs.Hist.count stats.Obs.Span_stats.decide_to_apply > 0)
+    (Stats.Summary.count stats.Obs.Span_stats.decide_to_apply > 0)
 
 (* ---------------------------------------------------------------- *)
 (* Determinism under the domain pool                                *)
@@ -358,12 +372,13 @@ let () =
   let tc = Alcotest.test_case in
   Alcotest.run "obs"
     [
-      ( "hist",
+      ( "span stats",
         [
-          tc "bucket edges are deterministic" `Quick test_hist_bucket_edges;
+          tc "bucket edges are deterministic" `Quick
+            test_percentile_bucket_edges;
           tc "percentile is nearest-rank on buckets" `Quick
-            test_hist_percentile_nearest_rank;
-          tc "merge is commutative" `Quick test_hist_merge_commutative;
+            test_percentile_nearest_rank;
+          QCheck_alcotest.to_alcotest prop_matches_hist_reference;
         ] );
       ( "spans",
         [
