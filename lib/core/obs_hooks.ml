@@ -12,10 +12,6 @@ let phase obs ~now ~site txn ph =
   Obs.Recorder.phase_begin obs ~at:now ~site ~origin:txn.Txn_id.origin
     ~local:txn.Txn_id.local ph
 
-let phase_end obs ~now ~site txn =
-  Obs.Recorder.phase_end obs ~at:now ~site ~origin:txn.Txn_id.origin
-    ~local:txn.Txn_id.local
-
 let decide obs ~now ~site txn ~committed =
   Obs.Recorder.decide obs ~at:now ~site ~origin:txn.Txn_id.origin
     ~local:txn.Txn_id.local ~committed

@@ -16,9 +16,6 @@ val phase :
   Obs.Span.phase ->
   unit
 
-val phase_end :
-  Obs.Recorder.t -> now:Sim.Time.t -> site:int -> Db.Txn_id.t -> unit
-
 val decide :
   Obs.Recorder.t ->
   now:Sim.Time.t ->

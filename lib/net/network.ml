@@ -11,7 +11,6 @@ type 'm t = {
   n : int;
   latency : Latency.t;
   classify : 'm -> string;
-  loopback : Sim.Time.t;
   tx_time : Sim.Time.t;
   mutable loss : loss option;
   rng : Sim.Rng.t;
@@ -40,8 +39,12 @@ let validate_loss ~who = function
     invalid_arg (who ^ ": drop_probability must be in [0, 1)")
   | Some _ | None -> ()
 
+(* Self-delivery delay: strictly positive, so a site's message to itself is
+   asynchronous like everything else. *)
+let loopback = Sim.Time.of_us 10
+
 let create engine ~n ~latency ?(classify = fun _ -> "msg")
-    ?(loopback = Sim.Time.of_us 10) ?(tx_time = Sim.Time.zero) ?loss () =
+    ?(tx_time = Sim.Time.zero) ?loss () =
   if n <= 0 then invalid_arg "Network.create: n <= 0";
   validate_loss ~who:"Network.create" loss;
   {
@@ -49,7 +52,6 @@ let create engine ~n ~latency ?(classify = fun _ -> "msg")
     n;
     latency;
     classify;
-    loopback;
     tx_time;
     loss;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
@@ -126,7 +128,7 @@ let reachable t a b = t.up.(a) && t.up.(b) && same_side t a b
    instant keeps the decision uniform across the fan-out. *)
 let deliver_scheduled t ~src ~dst msg =
   let delay =
-    if Site_id.equal src dst then t.loopback else Latency.sample t.latency t.rng
+    if Site_id.equal src dst then loopback else Latency.sample t.latency t.rng
   in
   (* Link-level loss with ARQ: each lost attempt adds the retransmission
      timeout plus a fresh latency sample before the copy that survives. *)

@@ -32,15 +32,14 @@ val create :
   n:int ->
   latency:Latency.t ->
   ?classify:('m -> string) ->
-  ?loopback:Sim.Time.t ->
   ?tx_time:Sim.Time.t ->
   ?loss:loss ->
   unit ->
   'm t
 (** [classify] labels messages for per-category accounting (default: one
-    ["msg"] bucket). [loopback] is the self-delivery delay (default 10us —
-    strictly positive so self-delivery is asynchronous like everything
-    else). [tx_time] (default zero) is the per-datagram transmit
+    ["msg"] bucket). A site's datagram to itself arrives after a fixed
+    10us, so self-delivery is asynchronous like everything else.
+    [tx_time] (default zero) is the per-datagram transmit
     serialization cost: each non-self datagram occupies the sender's
     interface for [tx_time] before entering the link, so a site's outgoing
     datagrams queue behind each other — the bandwidth resource that makes

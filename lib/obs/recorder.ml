@@ -11,8 +11,6 @@ let none =
 
 let create () = { on = true; events = []; open_spans = Hashtbl.create 256 }
 
-let enabled t = t.on
-
 let emit t ~at ~site ~origin ~local ~phase ~kind ~note =
   t.events <-
     { Span.at; site; origin; local; phase; kind; note } :: t.events
@@ -37,9 +35,6 @@ let phase_begin t ~at ~site ~origin ~local phase =
     emit t ~at ~site ~origin ~local ~phase ~kind:Span.Begin ~note:""
   end
 
-let phase_end t ~at ~site ~origin ~local =
-  if t.on then close_open t ~at ~site ~origin ~local
-
 let decide t ~at ~site ~origin ~local ~committed =
   if t.on then begin
     close_open t ~at ~site ~origin ~local;
@@ -51,9 +46,6 @@ let apply t ~at ~site ~origin ~local =
   if t.on then
     emit t ~at ~site ~origin ~local ~phase:Span.Apply ~kind:Span.Instant
       ~note:""
-
-let instant t ~at ~site ~origin ~local ~phase ~note =
-  if t.on then emit t ~at ~site ~origin ~local ~phase ~kind:Span.Instant ~note
 
 let close_dangling t ~at =
   if t.on then begin

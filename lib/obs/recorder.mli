@@ -19,7 +19,6 @@ val none : t
 (** The disabled recorder. *)
 
 val create : unit -> t
-val enabled : t -> bool
 
 (** {2 Span instrumentation} — all no-ops when disabled. *)
 
@@ -30,9 +29,6 @@ val phase_begin :
   t -> at:Sim.Time.t -> site:int -> origin:int -> local:int -> Span.phase -> unit
 (** Open a phase span for (txn, site), first closing — at the same
     instant — any phase still open there. *)
-
-val phase_end : t -> at:Sim.Time.t -> site:int -> origin:int -> local:int -> unit
-(** Close the open phase span for (txn, site); no-op if none is open. *)
 
 val decide :
   t ->
@@ -46,16 +42,6 @@ val decide :
 
 val apply : t -> at:Sim.Time.t -> site:int -> origin:int -> local:int -> unit
 (** Instant: the write set was installed at [site]. *)
-
-val instant :
-  t ->
-  at:Sim.Time.t ->
-  site:int ->
-  origin:int ->
-  local:int ->
-  phase:Span.phase ->
-  note:string ->
-  unit
 
 val close_dangling : t -> at:Sim.Time.t -> unit
 (** End every still-open span (stranded/undecided transactions) so the
