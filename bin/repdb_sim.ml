@@ -13,6 +13,15 @@
 
 open Cmdliner
 
+(* A usage error (a flag out of range, an unknown name, an unreadable input):
+   one line on stderr, exit 2, before any work starts. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 let write_text_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -97,9 +106,7 @@ let export_series sampler path =
 let resolve_sample_every ~sample_every_us ~series ~metrics =
   match sample_every_us with
   | Some us when us > 0 -> Some (Sim.Time.of_us us)
-  | Some _ ->
-    Printf.eprintf "--sample-every must be positive (microseconds)\n";
-    exit 2
+  | Some _ -> usage_error "--sample-every must be positive (microseconds)"
   | None ->
     if series <> None || metrics <> None then Some (Sim.Time.of_ms 1) else None
 
@@ -140,10 +147,8 @@ let series_file =
 
 let batch_policy ~batch_msgs ~batch_delay_us =
   if batch_msgs = 0 then None
-  else if batch_msgs < 0 || batch_delay_us < 0 then begin
-    Printf.eprintf "--batch-msgs/--batch-delay must be non-negative\n";
-    exit 2
-  end
+  else if batch_msgs < 0 || batch_delay_us < 0 then
+    usage_error "--batch-msgs/--batch-delay must be non-negative"
   else
     Some
       {
@@ -173,11 +178,17 @@ let batch_delay_us =
 let run_cmd protocol n_sites txns mpl seed ro_fraction theta n_keys reads writes
     ack_delay_ms no_ack early batch flood loss_rate batch_msgs batch_delay_us
     verbose trace audit audit_report metrics sample_every_us series =
+  if n_sites < 1 then usage_error "--sites must be at least 1";
+  if n_keys < 1 then usage_error "--keys must be at least 1";
+  if reads < 0 || writes < 0 then
+    usage_error "--reads/--writes must be non-negative";
+  if ack_delay_ms < 0 then usage_error "--ack-delay must be non-negative (ms)";
+  if not (loss_rate >= 0.0 && loss_rate < 1.0) then
+    usage_error "--loss must be in [0, 1)";
   match Repdb.Protocol.of_name protocol with
   | None ->
-    Printf.eprintf "unknown protocol %S (try: baseline reliable causal atomic)\n"
-      protocol;
-    exit 2
+    usage_error "unknown protocol %S (try: baseline reliable causal atomic)"
+      protocol
   | Some proto ->
     let profile =
       {
@@ -352,9 +363,7 @@ let exper_cmd which quick markdown jobs =
           let id = String.uppercase_ascii id in
           match List.assoc_opt id experiments with
           | Some fn -> Some (id, fn)
-          | None ->
-            Printf.eprintf "unknown experiment %s (E1..E17)\n" id;
-            exit 2)
+          | None -> usage_error "unknown experiment %s (E1..E17)" id)
         ids
   in
   List.iter
@@ -388,6 +397,7 @@ let exper_term = Term.(const exper_cmd $ which $ quick $ markdown $ exper_jobs)
 
 let fuzz_cmd n_seeds seed_start jobs txns episodes protocol_names planted_bug
     audit batch_msgs batch_delay_us replay trace sample_every_us series =
+  if n_seeds < 0 then usage_error "--seeds must be non-negative";
   (match jobs with Some n -> Parallel.set_jobs (Some n) | None -> ());
   let protocols =
     match protocol_names with
@@ -397,9 +407,7 @@ let fuzz_cmd n_seeds seed_start jobs txns episodes protocol_names planted_bug
         (fun n ->
           match Repdb.Protocol.of_name n with
           | Some p -> p
-          | None ->
-            Printf.eprintf "unknown protocol %S\n" n;
-            exit 2)
+          | None -> usage_error "unknown protocol %S" n)
         names
   in
   let cfg =
@@ -416,9 +424,7 @@ let fuzz_cmd n_seeds seed_start jobs txns episodes protocol_names planted_bug
   match replay with
   | Some line -> (
     match Chaos.case_of_repro line with
-    | Error e ->
-      Printf.eprintf "bad repro line: %s\n" e;
-      exit 2
+    | Error e -> usage_error "bad repro line: %s" e
     | Ok case ->
       let spec =
         {
@@ -555,7 +561,7 @@ let fuzz_term =
 (* Shared line reader for the offline trace commands. *)
 
 let read_lines file =
-  let ic = open_in file in
+  let ic = try open_in file with Sys_error e -> usage_error "%s" e in
   let rec go acc =
     match input_line ic with
     | line -> go (line :: acc)
@@ -604,11 +610,8 @@ let print_path (p : Critpath.path) =
     p.Critpath.p_segments
 
 let explain_cmd file txn_id json_out flow_out top =
-  let lines = read_lines file in
-  match Critpath.of_trace_lines lines with
-  | Error e ->
-    Printf.eprintf "%s: %s\n" file e;
-    exit 2
+  match Critpath.of_trace_lines (read_lines file) with
+  | Error e -> usage_error "%s: %s" file e
   | Ok (_n, spans, audit) ->
     let all_paths = Critpath.explain ~spans ~audit in
     if all_paths = [] then begin
@@ -643,12 +646,8 @@ let explain_cmd file txn_id json_out flow_out top =
                 file;
               exit 1
             | ps -> ps)
-          | _ ->
-            Printf.eprintf "--txn expects ORIGIN.LOCAL, e.g. 2.17 or T2.17\n";
-            exit 2)
-        | _ ->
-          Printf.eprintf "--txn expects ORIGIN.LOCAL, e.g. 2.17 or T2.17\n";
-          exit 2)
+          | _ -> usage_error "--txn expects ORIGIN.LOCAL, e.g. 2.17 or T2.17")
+        | _ -> usage_error "--txn expects ORIGIN.LOCAL, e.g. 2.17 or T2.17")
     in
     let table =
       Stats.Table.create
@@ -758,43 +757,17 @@ let explain_term =
 (* audit (offline replay of a recorded stream) *)
 
 let audit_cmd file json_out =
-  let lines = read_lines file in
-  let n =
-    match List.find_opt Audit.Event.is_schema_line lines with
-    | None ->
-      Printf.eprintf
-        "%s: no audit schema header (was the run recorded with --audit and \
-         a .jsonl trace?)\n"
-        file;
-      exit 2
-    | Some line -> (
-      match Audit.Event.parse_schema line with
-      | Ok n -> n
-      | Error e ->
-        Printf.eprintf "%s: bad schema header: %s\n" file e;
-        exit 2)
-  in
-  let events =
-    List.filteri
-      (fun _ line ->
-        Audit.Event.is_audit_line line
-        && not (Audit.Event.is_schema_line line))
-      lines
-    |> List.mapi (fun i line ->
-           match Audit.Event.of_json line with
-           | Ok event -> event
-           | Error e ->
-             Printf.eprintf "%s: audit line %d: %s\n" file (i + 1) e;
-             exit 2)
-  in
-  let report = Audit.Log.replay ~n events in
-  Format.printf "%a@." Audit.Log.pp_report report;
-  Option.iter
-    (fun path ->
-      write_text_file path (Audit.Log.report_to_json report);
-      Printf.printf "audit report   : -> %s\n" path)
-    json_out;
-  if not (Audit.Log.report_ok report) then exit 1
+  match Critpath.of_trace_lines (read_lines file) with
+  | Error e -> usage_error "%s: %s" file e
+  | Ok (n, _spans, events) ->
+    let report = Audit.Log.replay ~n events in
+    Format.printf "%a@." Audit.Log.pp_report report;
+    Option.iter
+      (fun path ->
+        write_text_file path (Audit.Log.report_to_json report);
+        Printf.printf "audit report   : -> %s\n" path)
+      json_out;
+    if not (Audit.Log.report_ok report) then exit 1
 
 let audit_trace_file =
   Arg.(

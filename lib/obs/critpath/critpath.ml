@@ -583,6 +583,6 @@ let of_trace_lines lines =
     match !n with
     | None ->
       Error
-        "no audit schema line: the critical-path walk needs the audit \
-         stream (record the run with --audit)"
+        "no audit schema line (record the run with --audit and a .jsonl \
+         trace)"
     | Some sites -> Ok (sites, List.rev !spans, List.rev !audit))

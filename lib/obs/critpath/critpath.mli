@@ -116,7 +116,8 @@ val flow_objects : path -> string list
 val of_trace_lines :
   string list ->
   (int * Obs.Span.event list * Audit.Event.t list, string) result
-(** Split a merged JSONL trace (as [run --trace FILE.jsonl] with
-    [--spans] and [--audit] writes) into (site count, span events, audit
-    events); ring/metrics lines are skipped. Errors when the audit stream
-    or its schema header is missing — the walk needs delivery lineage. *)
+(** Split a merged JSONL trace (as [run --trace FILE.jsonl --audit]
+    writes) into (site count, span events, audit events); lines of any
+    other stream are skipped. Errors on a malformed span or audit line,
+    and when the audit schema header is missing: both the critical-path
+    walk and the offline audit replay need the audit stream. *)

@@ -21,6 +21,8 @@ type gen = { profile : profile; rng : Sim.Rng.t; zipf : Sim.Rng.Zipf.gen }
 
 let create profile ~rng =
   if profile.n_keys <= 0 then invalid_arg "Workload.create: n_keys <= 0";
+  if profile.reads_per_txn < 0 || profile.writes_per_txn < 0 then
+    invalid_arg "Workload.create: negative reads or writes per txn";
   {
     profile;
     rng = Sim.Rng.split rng;

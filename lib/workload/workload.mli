@@ -21,6 +21,8 @@ val default : profile
 type gen
 
 val create : profile -> rng:Sim.Rng.t -> gen
+(** Raises [Invalid_argument] if [n_keys <= 0] or either per-transaction
+    count is negative. *)
 
 val next : gen -> Repdb.Op.spec
 (** The next transaction. Keys within one transaction are distinct. *)

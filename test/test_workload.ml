@@ -76,6 +76,22 @@ let test_tiny_keyspace () =
     check_bool "writes clipped" true (List.length writes <= 2)
   done
 
+(* A negative count would make key sampling loop forever: [create]
+   refuses it, as it refuses an empty key space. *)
+let test_rejects_bad_profile () =
+  let rng = Sim.Rng.create ~seed:8 in
+  List.iter
+    (fun (label, p) ->
+      check_bool label true
+        (match Workload.create p ~rng with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("no keys", { profile with Workload.n_keys = 0 });
+      ("negative reads", { profile with Workload.reads_per_txn = -1 });
+      ("negative writes", { profile with Workload.writes_per_txn = -1 });
+    ]
+
 let test_cross_conflict () =
   let rng = Sim.Rng.create ~seed:7 in
   let a, b = Workload.cross_conflict_pair profile ~rng in
@@ -116,6 +132,7 @@ let () =
           tc "ro fraction" `Quick test_ro_fraction;
           tc "zipf contention" `Quick test_zipf_contention;
           tc "tiny key space" `Quick test_tiny_keyspace;
+          tc "rejects negative counts" `Quick test_rejects_bad_profile;
         ] );
       ( "special",
         [
