@@ -179,6 +179,8 @@ let run_cmd protocol n_sites txns mpl seed ro_fraction theta n_keys reads writes
     ack_delay_ms no_ack early batch flood loss_rate batch_msgs batch_delay_us
     verbose trace audit audit_report metrics sample_every_us series =
   if n_sites < 1 then usage_error "--sites must be at least 1";
+  if n_sites > Net.Site_id.max_sites then
+    usage_error "--sites must be at most %d" Net.Site_id.max_sites;
   if n_keys < 1 then usage_error "--keys must be at least 1";
   if reads < 0 || writes < 0 then
     usage_error "--reads/--writes must be non-negative";

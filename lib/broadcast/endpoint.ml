@@ -14,9 +14,6 @@ type 'a delivery = {
 
 type stamp = { msg_id : Msg_id.t; msg_vc : Vc.t option }
 
-(* An application message retained for the join flush window. *)
-type 'a entry = { e_id : Msg_id.t; e_vc : Vc.t option; e_payload : 'a }
-
 type 'a snapshot = {
   snap_cut : int array;  (* delivered causal counts per origin *)
   snap_r_expected : (Site_id.t * int) list;
@@ -28,26 +25,27 @@ type 'a snapshot = {
   snap_app : 'a;
 }
 
-type 'a join_commit = {
+(* One stamped application message, built once by its sender. The App or
+   Frame datagram carries it, the hold-back buffers queue it, and every
+   receiver's recent log keeps this same record: a delivery copies
+   nothing. *)
+type 'a msg = { m_id : Msg_id.t; m_vc : Vc.t option; m_payload : 'a app_payload }
+
+and 'a join_commit = {
   jc_joiner : Site_id.t;
   jc_r_base : int;
   jc_c_base : int;
-  jc_window : 'a entry list;  (* joiner-origin messages some members miss *)
+  jc_window : 'a msg list;  (* joiner-origin messages some members miss *)
   jc_snapshot : 'a snapshot;
 }
 
 (* Payloads carried by the ordered classes: user data, or the join-commit
    control message (which must travel causally ordered like user data). *)
-type 'a app_payload = User of 'a | Join_commit of 'a join_commit
-
-(* One stamped message inside a batched wire frame: exactly the App
-   fields, minus the relay flag (frames are never relayed whole — flooding
-   relays the unpacked inner messages). *)
-type 'a framed = { f_id : Msg_id.t; f_vc : Vc.t option; f_payload : 'a app_payload }
+and 'a app_payload = User of 'a | Join_commit of 'a join_commit
 
 type 'a wire =
-  | App of { id : Msg_id.t; vc : Vc.t option; payload : 'a app_payload; relayed : bool }
-  | Frame of { frame : int; msgs : 'a framed list }
+  | App of { msg : 'a msg; relayed : bool }
+  | Frame of { frame : int; msgs : 'a msg list }
       (* a sender's coalesced broadcasts: one datagram, many stamped
          messages, delivered back-to-back in sender order *)
   | Order of { id : Msg_id.t; global_seq : int }
@@ -63,7 +61,7 @@ type 'a wire =
       join_id : int;
       r_next : int;
       c_count : int;
-      recent : 'a entry list;
+      recent : 'a msg list;
     }
 
 type 'a sync_state = {
@@ -75,7 +73,7 @@ type 'a sync_state = {
 type 'a join_state = {
   join_id : int;
   joiner : Site_id.t;
-  mutable reports : (Site_id.t * int * int * 'a entry list) list;
+  mutable reports : (Site_id.t * int * int * 'a msg list) list;
 }
 
 (* How many delivered messages we retain per origin for join flushes. The
@@ -91,9 +89,9 @@ type 'a t = {
   mutable snap_get : (unit -> 'a) option;
   mutable snap_install : ('a -> unit) option;
   (* delivery machinery (volatile: rebuilt on recovery) *)
-  mutable fifo : (Msg_id.t * 'a app_payload) Fifo_state.t;
-  mutable delay : (Msg_id.t * 'a app_payload) Delay_queue.t;
-  mutable orders : (Vc.t * 'a app_payload) Order_state.t;
+  mutable fifo : 'a msg Fifo_state.t;
+  mutable delay : 'a msg Delay_queue.t;
+  mutable orders : 'a msg Order_state.t;
   mutable sent_r : int;
   mutable sent_c : int;
   mutable app_cut : int array;
@@ -105,7 +103,11 @@ type 'a t = {
          application has not seen yet (that overstatement once let a NACK
          appear to follow the commit request it preceded, breaking the
          causal protocol's implicit-acknowledgment argument). *)
-  recent : (Site_id.t, 'a entry Queue.t) Hashtbl.t;
+  recent : 'a msg array array;
+      (* per origin, the newest [recent_log_capacity] user messages
+         delivered here: slot [k mod capacity] holds the [k]th; [[||]]
+         until the first *)
+  recent_count : int array;  (* per origin, user messages ever logged *)
   (* wire timestamps of each app message's first-arriving datagram, kept
      from network arrival until the app delivery's audit event consumes
      them (the critical-path profiler's raw material). Populated only when
@@ -131,7 +133,7 @@ type 'a t = {
   mutable pending_join : 'a join_state option;
   mutable joining : bool;  (* this site is waiting for a join commit *)
   (* outgoing batch (empty and inert when the group has no batch policy) *)
-  mutable pending_out : (Msg_id.t * Vc.t option * 'a app_payload) list;
+  mutable pending_out : 'a msg list;
       (* newest first; flushed as one Frame on size or timer *)
   mutable out_frame : int;  (* id of the currently open frame *)
   mutable frame_counter : int;  (* monotone, survives recovery *)
@@ -149,7 +151,7 @@ type 'a t = {
   mutable n_frames : int;
   (* planted-bug state (test-only, see [create_group]) *)
   mutable bug_causal_fired : bool;
-  mutable bug_held : (Vc.t * 'a app_payload) Order_state.ready option;
+  mutable bug_held : 'a msg Order_state.ready option;
   mutable bug_total_fired : bool;
 }
 
@@ -198,9 +200,9 @@ let set_snapshot_hooks t ~get ~install =
   t.snap_install <- Some install
 
 let classify_wire user = function
-  | App { payload = User payload; relayed; _ } ->
+  | App { msg = { m_payload = User payload; _ }; relayed } ->
     if relayed then "relay" else user payload
-  | App { payload = Join_commit _; _ } -> "join"
+  | App { msg = { m_payload = Join_commit _; _ }; _ } -> "join"
   | Frame _ -> "frame"
   | Order _ | Orders _ -> "order"
   | Heartbeat -> "hb"
@@ -224,18 +226,13 @@ let flush_out t =
   match t.pending_out with
   | [] -> ()
   | pending ->
-    let msgs =
-      List.rev_map
-        (fun (id, vc, payload) -> { f_id = id; f_vc = vc; f_payload = payload })
-        pending
-    in
     t.pending_out <- [];
     t.n_frames <- t.n_frames + 1;
-    broadcast_wire t (Frame { frame = t.out_frame; msgs })
+    broadcast_wire t (Frame { frame = t.out_frame; msgs = List.rev pending })
 
 (* Enqueue a stamped message on the open frame, opening one (and arming
    its flush timer) if needed. Returns the frame id for the audit header. *)
-let enqueue_out t batch entry =
+let enqueue_out t batch msg =
   (match t.pending_out with
   | [] ->
     t.frame_counter <- t.frame_counter + 1;
@@ -246,7 +243,7 @@ let enqueue_out t batch entry =
            if t.alive && t.out_frame = fid then flush_out t))
   | _ :: _ -> ());
   let frame = t.out_frame in
-  t.pending_out <- entry :: t.pending_out;
+  t.pending_out <- msg :: t.pending_out;
   if List.length t.pending_out >= batch.max_msgs then flush_out t;
   frame
 
@@ -256,7 +253,7 @@ let enqueue_out t batch entry =
    [direct] forces the unbatched path (join commits must not sit in a
    frame: members deliver them raw during the join window), after flushing
    so the commit cannot overtake its own frame on the FIFO links. *)
-let dispatch_app ?txn ~direct t ~id ~vc ~mcls ~payload =
+let dispatch_app ?txn ~direct t msg =
   let frame =
     match t.group.g_batch with
     | None -> None
@@ -265,12 +262,12 @@ let dispatch_app ?txn ~direct t ~id ~vc ~mcls ~payload =
         flush_out t;
         None
       end
-      else Some (enqueue_out t batch (id, vc, payload))
+      else Some (enqueue_out t batch msg)
   in
   Audit.Log.send ?frame t.group.g_audit ~at:(a_now t) ~origin:t.me
-    ~cls:(audit_cls mcls) ~seq:id.Msg_id.seq ~txn ~vc;
-  if frame = None then
-    broadcast_wire t (App { id; vc; payload; relayed = false })
+    ~cls:(audit_cls msg.m_id.Msg_id.cls) ~seq:msg.m_id.Msg_id.seq ~txn
+    ~vc:msg.m_vc;
+  if frame = None then broadcast_wire t (App { msg; relayed = false })
 
 let broadcast_payload ?txn t cls payload ~joiner_floor =
   (match cls with
@@ -282,7 +279,7 @@ let broadcast_payload ?txn t cls payload ~joiner_floor =
   | `Reliable ->
     let id = { Msg_id.origin = t.me; cls = Msg_id.Reliable; seq = t.sent_r } in
     t.sent_r <- t.sent_r + 1;
-    dispatch_app ?txn ~direct t ~id ~vc:None ~mcls:Msg_id.Reliable ~payload;
+    dispatch_app ?txn ~direct t { m_id = id; m_vc = None; m_payload = payload };
     { msg_id = id; msg_vc = None }
   | (`Causal | `Total) as ordered ->
     let cut = Array.copy t.app_cut in
@@ -296,8 +293,9 @@ let broadcast_payload ?txn t cls payload ~joiner_floor =
     let vc = Vc.of_array cut in
     let mcls = match ordered with `Causal -> Msg_id.Causal | `Total -> Msg_id.Total in
     let id = { Msg_id.origin = t.me; cls = mcls; seq = cut.(t.me) } in
-    dispatch_app ?txn ~direct t ~id ~vc:(Some vc) ~mcls ~payload;
-    { msg_id = id; msg_vc = Some vc }
+    let msg = { m_id = id; m_vc = Some vc; m_payload = payload } in
+    dispatch_app ?txn ~direct t msg;
+    { msg_id = id; msg_vc = msg.m_vc }
 
 let broadcast ?txn t cls payload =
   if not t.alive then invalid_arg "Endpoint.broadcast: site is down";
@@ -307,19 +305,23 @@ let broadcast ?txn t cls payload =
 (* ------------------------------------------------------------------ *)
 (* Delivery to the application *)
 
-let remember_recent t ~origin entry =
-  let q =
-    match Hashtbl.find_opt t.recent origin with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.recent origin q;
-      q
-  in
-  Queue.push entry q;
-  if Queue.length q > recent_log_capacity then ignore (Queue.pop q)
+let remember_recent t msg =
+  let origin = msg.m_id.Msg_id.origin in
+  if Array.length t.recent.(origin) = 0 then
+    t.recent.(origin) <- Array.make recent_log_capacity msg;
+  let count = t.recent_count.(origin) in
+  t.recent.(origin).(count mod recent_log_capacity) <- msg;
+  t.recent_count.(origin) <- count + 1
 
-let rec app_deliver ?(flush = false) t ~id ~vc ~global_seq payload =
+(* The logged messages from [origin], oldest first. *)
+let recent_msgs t origin =
+  let count = t.recent_count.(origin) in
+  let kept = Stdlib.min count recent_log_capacity in
+  List.init kept (fun k ->
+      t.recent.(origin).((count - kept + k) mod recent_log_capacity))
+
+let rec app_deliver ?(flush = false) t ~global_seq msg =
+  let id = msg.m_id and vc = msg.m_vc in
   let t_sent, t_depart, t_arrive =
     match Hashtbl.find_opt t.rx_times id with
     | Some tm ->
@@ -332,10 +334,10 @@ let rec app_deliver ?(flush = false) t ~id ~vc ~global_seq payload =
   Audit.Log.deliver ?t_sent ?t_depart ?t_arrive t.group.g_audit ~at:(a_now t)
     ~site:t.me ~origin:id.Msg_id.origin ~cls:(audit_cls id.Msg_id.cls)
     ~seq:id.Msg_id.seq ~vc ~global_seq ~flush;
-  match payload with
+  match msg.m_payload with
   | User user ->
     t.n_deliver <- t.n_deliver + 1;
-    remember_recent t ~origin:id.Msg_id.origin { e_id = id; e_vc = vc; e_payload = user };
+    remember_recent t msg;
     (match t.deliver_cb with
     | Some cb -> cb { id; vc; global_seq; payload = user }
     | None -> ())
@@ -363,14 +365,14 @@ and deliver_ready_totals t ready =
       | None -> ready
   in
   List.iter
-    (fun { Order_state.global_seq; id; payload = vc, payload } ->
-      app_deliver t ~id ~vc:(Some vc) ~global_seq:(Some global_seq) payload)
+    (fun { Order_state.global_seq; id = _; payload = msg } ->
+      app_deliver t ~global_seq:(Some global_seq) msg)
     ready
 
 (* A total-class message has passed causal delivery: hand it to the order
    bookkeeping, and assign it a slot if we are the synced sequencer. *)
-and total_arrival t id vc payload =
-  let ready = Order_state.note_arrival t.orders id (vc, payload) in
+and total_arrival t msg =
+  let ready = Order_state.note_arrival t.orders msg.m_id msg in
   deliver_ready_totals t ready;
   (* Inside a frame, one sweep covers every inner arrival: the caller runs
      [maybe_assign] once after unpacking, so a frame of commit requests
@@ -430,16 +432,17 @@ and maybe_assign t =
    advances one message at a time, just before that message's handler. *)
 and deliver_causal_releases t releases =
   List.iter
-    (fun { Delay_queue.vc; payload = id, payload; _ } ->
+    (fun { Delay_queue.vc; payload = msg; _ } ->
+      let id = msg.m_id in
       let origin = id.Msg_id.origin in
       if id.Msg_id.seq > t.app_cut.(origin) then
         t.app_cut.(origin) <- id.Msg_id.seq;
       match id.Msg_id.cls with
-      | Msg_id.Causal -> app_deliver t ~id ~vc:(Some vc) ~global_seq:None payload
+      | Msg_id.Causal -> app_deliver t ~global_seq:None msg
       | Msg_id.Total ->
         Audit.Log.pass t.group.g_audit ~at:(a_now t) ~site:t.me ~origin
           ~seq:id.Msg_id.seq ~vc ~flush:false;
-        total_arrival t id vc payload
+        total_arrival t msg
       | Msg_id.Reliable -> assert false)
     releases
 
@@ -455,34 +458,30 @@ and force_apply_window t ~joiner ~r_base ~c_base window =
   Audit.Log.advance t.group.g_audit ~at:(a_now t) ~site:t.me ~origin:joiner
     ~r_upto:r_base ~c_upto:c_base;
   let reliable, ordered =
-    List.partition (fun e -> e.e_id.Msg_id.cls = Msg_id.Reliable) window
+    List.partition (fun e -> e.m_id.Msg_id.cls = Msg_id.Reliable) window
   in
-  let by_seq a b = Int.compare a.e_id.Msg_id.seq b.e_id.Msg_id.seq in
+  let by_seq a b = Int.compare a.m_id.Msg_id.seq b.m_id.Msg_id.seq in
   List.iter
     (fun e ->
-      if e.e_id.Msg_id.seq >= Fifo_state.expected t.fifo ~origin:joiner then
-        app_deliver ~flush:true t ~id:e.e_id ~vc:None ~global_seq:None
-          (User e.e_payload))
+      if e.m_id.Msg_id.seq >= Fifo_state.expected t.fifo ~origin:joiner then
+        app_deliver ~flush:true t ~global_seq:None e)
     (List.sort by_seq reliable);
   let released_r = Fifo_state.fast_forward t.fifo ~origin:joiner ~next_seq:r_base in
   List.iter
-    (fun (_, (id, payload)) ->
-      app_deliver ~flush:true t ~id ~vc:None ~global_seq:None payload)
+    (fun (_, msg) -> app_deliver ~flush:true t ~global_seq:None msg)
     released_r;
   let delivered = Vc.get (Delay_queue.delivered_vc t.delay) joiner in
   List.iter
     (fun e ->
-      if e.e_id.Msg_id.seq > delivered then begin
-        if e.e_id.Msg_id.seq > t.app_cut.(joiner) then
-          t.app_cut.(joiner) <- e.e_id.Msg_id.seq;
-        match e.e_id.Msg_id.cls, e.e_vc with
-        | Msg_id.Causal, vc ->
-          app_deliver ~flush:true t ~id:e.e_id ~vc ~global_seq:None
-            (User e.e_payload)
+      if e.m_id.Msg_id.seq > delivered then begin
+        if e.m_id.Msg_id.seq > t.app_cut.(joiner) then
+          t.app_cut.(joiner) <- e.m_id.Msg_id.seq;
+        match e.m_id.Msg_id.cls, e.m_vc with
+        | Msg_id.Causal, _ -> app_deliver ~flush:true t ~global_seq:None e
         | Msg_id.Total, Some vc ->
           Audit.Log.pass t.group.g_audit ~at:(a_now t) ~site:t.me
-            ~origin:joiner ~seq:e.e_id.Msg_id.seq ~vc ~flush:true;
-          total_arrival t e.e_id vc (User e.e_payload)
+            ~origin:joiner ~seq:e.m_id.Msg_id.seq ~vc ~flush:true;
+          total_arrival t e
         | Msg_id.Total, None | Msg_id.Reliable, _ -> assert false
       end)
     (List.sort by_seq ordered);
@@ -530,7 +529,7 @@ and install_view t v =
           List.filter
             (fun (_, wire) ->
               match wire with
-              | App { id; _ } -> not (Site_id.equal id.Msg_id.origin s)
+              | App { msg; _ } -> not (Site_id.equal msg.m_id.Msg_id.origin s)
               | _ -> true)
             t.frozen_buffer)
       removed;
@@ -587,11 +586,7 @@ and handle_join_query t ~src ~join_id ~joiner =
     t.frozen <- Site_id.Set.add joiner t.frozen;
     let r_next = Fifo_state.expected t.fifo ~origin:joiner in
     let c_count = Vc.get (Delay_queue.delivered_vc t.delay) joiner in
-    let recent =
-      match Hashtbl.find_opt t.recent joiner with
-      | Some q -> List.of_seq (Queue.to_seq q)
-      | None -> []
-    in
+    let recent = recent_msgs t joiner in
     send_wire t ~dst:src (Join_report { join_id; r_next; c_count; recent })
   end
 
@@ -629,15 +624,15 @@ and finalize_join t join =
       (fun acc (_, _, _, recent) ->
         List.fold_left
           (fun acc e ->
-            if List.exists (fun o -> Msg_id.equal o.e_id e.e_id) acc then acc
+            if List.exists (fun o -> Msg_id.equal o.m_id e.m_id) acc then acc
             else e :: acc)
           acc recent)
       [] join.reports
   in
   let wanted e =
-    match e.e_id.Msg_id.cls with
-    | Msg_id.Reliable -> e.e_id.Msg_id.seq < r_base
-    | Msg_id.Causal | Msg_id.Total -> e.e_id.Msg_id.seq <= c_base
+    match e.m_id.Msg_id.cls with
+    | Msg_id.Reliable -> e.m_id.Msg_id.seq < r_base
+    | Msg_id.Causal | Msg_id.Total -> e.m_id.Msg_id.seq <= c_base
   in
   let window = List.filter wanted window in
   (* The join commit's joiner-stream component must be deliverable at the
@@ -769,8 +764,9 @@ and handle ?rx t ~src wire =
     t.last_heard.(src) <- Sim.Engine.now t.group.g_engine;
     if not t.initialized then begin
       match wire with
-      | App { id; payload = Join_commit jc; _ } when Site_id.equal jc.jc_joiner t.me ->
-        joiner_install t ~commit_id:id jc
+      | App { msg = { m_id; m_payload = Join_commit jc; _ }; _ }
+        when Site_id.equal jc.jc_joiner t.me ->
+        joiner_install t ~commit_id:m_id jc
       | Heartbeat -> ()
       | _ -> t.raw_buffer <- (src, wire) :: t.raw_buffer
     end
@@ -779,15 +775,13 @@ and handle ?rx t ~src wire =
 
 and handle_initialized ?rx t ~src wire =
   match wire with
-  | App { id; vc; payload; relayed = _ } -> handle_app ?rx t ~src ~id ~vc payload
+  | App { msg; relayed = _ } -> handle_app ?rx t ~src msg
   | Frame { frame = _; msgs } ->
     (* Unpack in sender order; each inner message goes through exactly the
        App path (sharing the frame datagram's wire timestamps). The
        sequencer sweep is deferred to once per frame. *)
     t.in_frame <- true;
-    List.iter
-      (fun { f_id; f_vc; f_payload } -> handle_app ?rx t ~src ~id:f_id ~vc:f_vc f_payload)
-      msgs;
+    List.iter (fun msg -> handle_app ?rx t ~src msg) msgs;
     t.in_frame <- false;
     maybe_assign t
   | Order { id; global_seq } ->
@@ -838,14 +832,15 @@ and replay_frozen t origin =
     List.partition
       (fun (_, wire) ->
         match wire with
-        | App { id; _ } -> Site_id.equal id.Msg_id.origin origin
+        | App { msg; _ } -> Site_id.equal msg.m_id.Msg_id.origin origin
         | _ -> false)
       (List.rev t.frozen_buffer)
   in
   t.frozen_buffer <- List.rev rest;
   List.iter (fun (src, wire) -> handle_initialized t ~src wire) mine
 
-and handle_app ?rx t ~src ~id ~vc payload =
+and handle_app ?rx t ~src msg =
+  let id = msg.m_id in
   (* First arrival wins: under flooding a relayed copy may race the
      origin's datagram, and the earliest copy is the one that drives
      delivery progress. Frozen-buffered messages record here too — their
@@ -858,7 +853,7 @@ and handle_app ?rx t ~src ~id ~vc payload =
     Hashtbl.replace t.rx_times id timing
   | _ -> ());
   if Site_id.Set.mem id.Msg_id.origin t.frozen then
-    t.frozen_buffer <- (src, App { id; vc; payload; relayed = false }) :: t.frozen_buffer
+    t.frozen_buffer <- (src, App { msg; relayed = false }) :: t.frozen_buffer
   else if not (View.mem t.view id.Msg_id.origin) then
     (* Straggler from a removed member's incarnation — e.g. sent across a
        healed partition before the member crashed into its rejoin. Its old
@@ -869,24 +864,21 @@ and handle_app ?rx t ~src ~id ~vc payload =
        put the joiner back in the view. *)
     ()
   else begin
-    maybe_relay t ~src ~id ~vc payload;
+    maybe_relay t ~src msg;
     match id.Msg_id.cls with
     | Msg_id.Reliable -> begin
-      match Fifo_state.offer t.fifo ~origin:id.Msg_id.origin ~seq:id.Msg_id.seq (id, payload) with
+      match Fifo_state.offer t.fifo ~origin:id.Msg_id.origin ~seq:id.Msg_id.seq msg with
       | Fifo_state.Ready released ->
-        List.iter
-          (fun (_, (rid, rpayload)) ->
-            app_deliver t ~id:rid ~vc:None ~global_seq:None rpayload)
-          released
+        List.iter (fun (_, m) -> app_deliver t ~global_seq:None m) released
       | Fifo_state.Buffered | Fifo_state.Duplicate -> ()
     end
     | Msg_id.Causal | Msg_id.Total -> begin
       let stamp =
-        match vc with
+        match msg.m_vc with
         | Some stamp -> stamp
         | None -> invalid_arg "Endpoint: ordered message without stamp"
       in
-      match Delay_queue.offer t.delay ~origin:id.Msg_id.origin ~vc:stamp (id, payload) with
+      match Delay_queue.offer t.delay ~origin:id.Msg_id.origin ~vc:stamp msg with
       | Delay_queue.Ready releases -> deliver_causal_releases t releases
       | Delay_queue.Buffered ->
         (* Planted causal inversion: site 1 delivers the first causal
@@ -899,20 +891,20 @@ and handle_app ?rx t ~src ~id ~vc payload =
         then begin
           t.bug_causal_fired <- true;
           deliver_causal_releases t
-            [ { Delay_queue.origin = id.Msg_id.origin; vc = stamp; payload = (id, payload) } ]
+            [ { Delay_queue.origin = id.Msg_id.origin; vc = stamp; payload = msg } ]
         end
       | Delay_queue.Duplicate -> ()
     end
   end
 
-and maybe_relay t ~src ~id ~vc payload =
+and maybe_relay t ~src msg =
   if
     t.group.g_flood
     && (not (Site_id.equal src t.me))
-    && not (Msg_id.Set.mem id t.relayed)
+    && not (Msg_id.Set.mem msg.m_id t.relayed)
   then begin
-    t.relayed <- Msg_id.Set.add id t.relayed;
-    broadcast_wire ~include_self:false t (App { id; vc; payload; relayed = true })
+    t.relayed <- Msg_id.Set.add msg.m_id t.relayed;
+    broadcast_wire ~include_self:false t (App { msg; relayed = true })
   end
 
 (* ------------------------------------------------------------------ *)
@@ -994,7 +986,8 @@ let recover group s =
        The frame counter stays monotone so stale flush timers stay dead. *)
     t.pending_out <- [];
     t.in_frame <- false;
-    Hashtbl.reset t.recent;
+    Array.fill t.recent 0 group.g_n [||];
+    Array.fill t.recent_count 0 group.g_n 0;
     Hashtbl.reset t.rx_times;
     t.relayed <- Msg_id.Set.empty;
     let now = Sim.Engine.now group.g_engine in
@@ -1047,7 +1040,8 @@ let create_group (type a) engine ~n ~latency ?(classify = fun (_ : a) -> "app")
       sent_r = 0;
       sent_c = 0;
       app_cut = Array.make n 0;
-      recent = Hashtbl.create 8;
+      recent = Array.make n [||];
+      recent_count = Array.make n 0;
       rx_times = Hashtbl.create 64;
       relayed = Msg_id.Set.empty;
       view = View.initial ~n;
@@ -1080,10 +1074,14 @@ let create_group (type a) engine ~n ~latency ?(classify = fun (_ : a) -> "app")
     }
   in
   group.g_eps <- Array.init n make_endpoint;
+  (* Wire timestamps feed only the audit stream: an unaudited group never
+     builds them. *)
+  let audited = Audit.Log.enabled audit in
   Array.iter
     (fun t ->
       Net.Network.set_handler net t.me (fun ~src wire ->
-          handle ?rx:(Net.Network.rx_timing net) t ~src wire);
+          let rx = if audited then Net.Network.rx_timing net else None in
+          handle ?rx t ~src wire);
       schedule_timers t)
     group.g_eps;
   (* Time-series probes over the broadcast layer and its network. Guarded

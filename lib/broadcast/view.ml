@@ -5,7 +5,8 @@ type t = {
 }
 
 let initial ~n =
-  if n <= 0 then invalid_arg "View.initial: n <= 0";
+  if n <= 0 || n > Net.Site_id.max_sites then
+    invalid_arg "View.initial: n outside 1..Site_id.max_sites";
   { id = 0; members = Net.Site_id.Set.of_list (Net.Site_id.all ~n); coordinator = 0 }
 
 let of_parts ~id ~members ~coordinator =

@@ -19,7 +19,8 @@ type t = private {
 }
 
 val initial : n:int -> t
-(** View 0: all [n] sites, coordinator site 0. *)
+(** View 0: all [n] sites, coordinator site 0. Raises [Invalid_argument]
+    unless [1 <= n <= Net.Site_id.max_sites]. *)
 
 val of_parts :
   id:int -> members:Net.Site_id.t list -> coordinator:Net.Site_id.t -> t

@@ -222,7 +222,8 @@ let case_of_repro line =
         int_of_string_opt sites,
         Fault_plan.of_string script )
     with
-    | Some protocol, Some seed, Some n_sites, Ok plan when n_sites >= 1 ->
+    | Some protocol, Some seed, Some n_sites, Ok plan
+      when n_sites >= 1 && n_sites <= Net.Site_id.max_sites ->
       let site_ok site = site < n_sites in
       if
         List.for_all

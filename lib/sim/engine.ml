@@ -29,17 +29,26 @@ let schedule t ~delay callback =
 
 let cancel t handle = Event_queue.cancel t.queue handle
 
+type channel = { owner : t; chain : (unit -> unit) Event_queue.chain }
+
+let channel t callback = { owner = t; chain = Event_queue.chain t.queue callback }
+
+let push ch ~time =
+  if Time.( < ) time ch.owner.clock then invalid_arg "Engine.push: in the past";
+  Event_queue.push_chain ch.chain ~time
+
 let pending t = Event_queue.size t.queue
 let processed t = t.processed
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, callback) ->
-    t.clock <- time;
+  if Event_queue.is_empty t.queue then false
+  else begin
+    t.clock <- Event_queue.min_time t.queue;
+    let callback = Event_queue.take t.queue in
     t.processed <- t.processed + 1;
     callback ();
     true
+  end
 
 let run t ?(max_events = max_int) () =
   let rec loop remaining =
@@ -53,10 +62,13 @@ let run t ?(max_events = max_int) () =
 
 let run_until t deadline =
   let rec loop () =
-    match Event_queue.peek_time t.queue with
-    | Some time when Time.( <= ) time deadline ->
-      if step t then loop ()
-    | Some _ | None -> ()
+    if
+      (not (Event_queue.is_empty t.queue))
+      && Time.( <= ) (Event_queue.min_time t.queue) deadline
+    then begin
+      ignore (step t);
+      loop ()
+    end
   in
   (try loop () with Stop -> ());
   if Time.( < ) t.clock deadline then t.clock <- deadline

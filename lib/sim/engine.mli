@@ -27,8 +27,24 @@ val schedule_at : t -> time:Time.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 
+(** {2 FIFO channels} *)
+
+type channel
+(** A stream of events that fire in the order they were pushed, such as a
+    network link's arrivals. Each push takes its place in the [(time,
+    sequence-number)] order at once, exactly as {!schedule_at} would, but
+    only the channel's oldest pending event occupies the event queue, and a
+    push allocates nothing once the channel has grown to its backlog. *)
+
+val channel : t -> (unit -> unit) -> channel
+(** An empty channel whose every event runs the given callback. *)
+
+val push : channel -> time:Time.t -> unit
+(** Schedule the channel's next event. Raises [Invalid_argument] if [time]
+    is in the past or earlier than the channel's previous push. *)
+
 val pending : t -> int
-(** Number of scheduled, uncancelled events. *)
+(** Number of scheduled, uncancelled events, channel events included. *)
 
 val processed : t -> int
 (** Number of callbacks run since creation — with {!pending}, the raw

@@ -833,6 +833,61 @@ let test_joiner_can_broadcast_after_join () =
         (List.mem "fresh" (List.map (fun r -> r.r_payload) (per_site log s))))
     [ 0; 1; 2 ]
 
+(* A join after the joiner's stream has wrapped every member's recent log
+   (128 messages per origin). The joiner's last messages reach sites 0 and
+   1 but not site 2, which the join flush must then bring up to date from
+   the newest entries of the others' logs. The flush delivers a stream's
+   reliable messages before its causal ones, so sequences are compared per
+   origin and class. *)
+let test_join_after_recent_log_wraps () =
+  let engine, group, log = setup ~n:4 () in
+  let eps = Ep.endpoints group in
+  let send site i =
+    let cls, tag = if i mod 2 = 0 then (`Reliable, "r") else (`Causal, "c") in
+    ignore (Ep.broadcast eps.(site) cls (Printf.sprintf "%d:%s:%d" site tag i))
+  in
+  for i = 0 to 129 do
+    send 3 i;
+    if i mod 10 = 0 then send (i / 10 mod 3) i
+  done;
+  Sim.Engine.run_until engine (Sim.Time.of_ms 100);
+  Ep.partition group [ 2 ];
+  for i = 130 to 141 do
+    send 3 i
+  done;
+  Ep.heal group;
+  Ep.crash group 3;
+  Sim.Engine.run_until engine (Sim.Time.of_sec 1.0);
+  check_bool "joiner expelled" false (Broadcast.View.mem (Ep.view eps.(0)) 3);
+  let delivered site = List.length (per_site log site) in
+  check_int "site 2 missed the joiner's last 12" (delivered 0 - 12) (delivered 2);
+  Ep.recover group 3;
+  Sim.Engine.run_until engine (Sim.Time.of_sec 4.0);
+  check_bool "join completed" true (Ep.is_ready eps.(3));
+  check_bool "joiner back in view" true (Broadcast.View.mem (Ep.view eps.(2)) 3);
+  send 3 300;
+  Sim.Engine.run_until engine (Sim.Time.of_sec 4.5);
+  let from site origin tag =
+    List.filter
+      (fun p ->
+        match String.split_on_char ':' p with
+        | [ o; c; _ ] -> int_of_string o = origin && c = tag
+        | _ -> false)
+      (List.map (fun r -> r.r_payload) (per_site log site))
+  in
+  check_int "site 0 delivered all of the joiner's stream" 143
+    (List.length (from 0 3 "r" @ from 0 3 "c"));
+  for origin = 0 to 3 do
+    List.iter
+      (fun (site, tag) ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "site %d, origin %d, class %s: as at site 0" site origin tag)
+          (from 0 origin tag) (from site origin tag))
+      [ (1, "r"); (1, "c"); (2, "r"); (2, "c") ]
+  done;
+  check_bool "joiner delivers its post-join message" true
+    (List.mem "3:r:300" (List.map (fun r -> r.r_payload) (per_site log 3)))
+
 let test_flood_still_exactly_once () =
   let engine = Sim.Engine.create ~seed:9 () in
   let group = Ep.create_group engine ~n:4 ~latency:Net.Latency.lan ~flood:true () in
@@ -1309,6 +1364,7 @@ let () =
           tc "majority views" `Quick test_majority_views;
           tc "join catches up" `Quick test_join_rejoins_and_catches_up;
           tc "joiner can broadcast" `Quick test_joiner_can_broadcast_after_join;
+          tc "join after the recent log wraps" `Quick test_join_after_recent_log_wraps;
           tc "partition: majority stays primary" `Quick test_partition_majority_primary;
           tc "delivery survives sender crash" `Quick
             test_delivery_survives_sender_crash;

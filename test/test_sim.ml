@@ -88,6 +88,41 @@ let test_queue_peek () =
   Sim.Event_queue.cancel q h;
   Alcotest.(check (option int)) "peek after cancel" None (Sim.Event_queue.peek_time q)
 
+(* Chains against plain pushes: pushing a chain event must pop at exactly
+   the place a plain push at the same moment would have, with the same
+   live count after every step, pops interleaved with pushes. *)
+let prop_chains_match_plain_pushes =
+  QCheck.Test.make ~name:"chain events pop where plain pushes would" ~count:300
+    QCheck.(list (triple (int_bound 3) (int_bound 4) (int_bound 50)))
+    (fun ops ->
+      let chained = Sim.Event_queue.create () and plain = Sim.Event_queue.create () in
+      let chains = Array.init 4 (fun c -> Sim.Event_queue.chain chained (`Chain c)) in
+      let last = Array.make 4 0 in
+      let ok = ref true in
+      let pop_both () =
+        let a = Sim.Event_queue.pop chained and b = Sim.Event_queue.pop plain in
+        if a <> b || Sim.Event_queue.size chained <> Sim.Event_queue.size plain then
+          ok := false
+      in
+      List.iter
+        (fun (kind, c, t) ->
+          match kind with
+          | 0 -> pop_both ()
+          | 1 ->
+            ignore (Sim.Event_queue.push chained ~time:t (`Plain t));
+            ignore (Sim.Event_queue.push plain ~time:t (`Plain t))
+          | _ ->
+            let c = c mod 4 in
+            let time = last.(c) + t in
+            last.(c) <- time;
+            Sim.Event_queue.push_chain chains.(c) ~time;
+            ignore (Sim.Event_queue.push plain ~time (`Chain c)))
+        ops;
+      while not (Sim.Event_queue.is_empty plain) do
+        pop_both ()
+      done;
+      !ok && Sim.Event_queue.is_empty chained)
+
 let prop_queue_sorted =
   QCheck.Test.make ~name:"event queue pops sorted by (time, seq)" ~count:200
     QCheck.(list (int_bound 1000))
@@ -200,6 +235,32 @@ let test_engine_run_until () =
   Sim.Engine.run_until e (Sim.Time.of_ms 20);
   Alcotest.(check (list int)) "rest" [ 1; 5; 9 ] (List.rev !fired)
 
+let test_engine_channel () =
+  let e = Sim.Engine.create () in
+  let fired = ref [] in
+  let ch = Sim.Engine.channel e (fun () -> fired := "ch" :: !fired) in
+  let timer name ms =
+    ignore (Sim.Engine.schedule e ~delay:(Sim.Time.of_ms ms) (fun () -> fired := name :: !fired))
+  in
+  timer "t1" 1;
+  Sim.Engine.push ch ~time:(Sim.Time.of_ms 1);
+  timer "t2" 1;
+  Sim.Engine.push ch ~time:(Sim.Time.of_ms 1);
+  Sim.Engine.push ch ~time:(Sim.Time.of_ms 2);
+  check_int "every push pending" 5 (Sim.Engine.pending e);
+  Sim.Engine.run_until e (Sim.Time.of_ms 1);
+  Alcotest.(check (list string)) "ties keep push order" [ "t1"; "ch"; "t2"; "ch" ]
+    (List.rev !fired);
+  check_int "one left" 1 (Sim.Engine.pending e);
+  Alcotest.check_raises "backwards push"
+    (Invalid_argument "Event_queue.push_chain: time goes backwards") (fun () ->
+      Sim.Engine.push ch ~time:(Sim.Time.of_us 1_500));
+  Alcotest.check_raises "push in the past" (Invalid_argument "Engine.push: in the past")
+    (fun () -> Sim.Engine.push ch ~time:(Sim.Time.of_us 999));
+  Sim.Engine.run e ();
+  check_int "drained" 5 (List.length !fired);
+  check_int "processed" 5 (Sim.Engine.processed e)
+
 let test_engine_cancel () =
   let e = Sim.Engine.create () in
   let fired = ref false in
@@ -246,6 +307,7 @@ let () =
           tc "foreign handle rejected" `Quick test_queue_cancel_foreign_handle;
           tc "peek" `Quick test_queue_peek;
           QCheck_alcotest.to_alcotest prop_queue_sorted;
+          QCheck_alcotest.to_alcotest prop_chains_match_plain_pushes;
         ] );
       ( "rng",
         [
@@ -262,6 +324,7 @@ let () =
           tc "nested scheduling" `Quick test_engine_nested_schedule;
           tc "run_until" `Quick test_engine_run_until;
           tc "cancel" `Quick test_engine_cancel;
+          tc "fifo channel" `Quick test_engine_channel;
           tc "stop" `Quick test_engine_stop;
           tc "rejects past" `Quick test_engine_past_schedule_rejected;
         ] );
