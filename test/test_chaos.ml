@@ -216,6 +216,8 @@ let test_repro_round_trip () =
       "proto=atomic seed=3 sites=5 script=crash(7)@400000+300000";
       "proto=atomic seed=3 sites=5 script=cut(0|9)@400000+300000";
       "proto=atomic seed=3 sites=5 script=loss()@400000+300000";
+      (* one more site than a site set has bits *)
+      "proto=atomic seed=3 sites=64 script=crash(10)@400000+300000";
     ]
 
 (* ------------------------------------------------------------------ *)
