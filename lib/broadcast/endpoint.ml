@@ -322,8 +322,13 @@ let recent_msgs t origin =
 
 let rec app_deliver ?(flush = false) t ~global_seq msg =
   let id = msg.m_id and vc = msg.m_vc in
+  let timing =
+    (* only an audited run fills [rx_times] *)
+    if Audit.Log.enabled t.group.g_audit then Hashtbl.find_opt t.rx_times id
+    else None
+  in
   let t_sent, t_depart, t_arrive =
-    match Hashtbl.find_opt t.rx_times id with
+    match timing with
     | Some tm ->
       Hashtbl.remove t.rx_times id;
       ( Some tm.Net.Network.rx_sent,

@@ -113,13 +113,13 @@ let submit t ~origin spec ~on_done =
       let store = Site_core.store st.core in
       if Op.is_read_only spec then begin
         (* Snapshot reads at the current local commit index: consistent (a
-           prefix of the shared total order), non-blocking, never aborted. *)
-        let index = Db.Version_store.commit_index store in
+           prefix of the shared total order), non-blocking, never aborted.
+           A read-only spec computes nothing from the values, so only the
+           reads-from edges are recorded. *)
         List.iter
           (fun key ->
-            let _value = Db.Version_store.read_at store ~index key in
             History.record_read history txn key
-              ~from:(Db.Version_store.writer_at store ~index key))
+              ~from:(Db.Version_store.writer_of store key))
           spec.Op.reads;
         History.record_writes history txn [];
         Shell.commit_read_only t st txn

@@ -59,7 +59,6 @@ let now t = Sim.Engine.now t.engine
 
 let net_stats t = Net.Network.stats t.net
 let store t s = Site_core.store t.sites.(s).core
-let log t s = Site_core.log t.sites.(s).core
 let deadlocks_detected t = t.deadlocks
 let deadlocks = deadlocks_detected
 

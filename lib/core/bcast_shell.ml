@@ -159,7 +159,6 @@ let relock st ~txn ~refused writes =
 module Ops = struct
   let net_stats t = Endpoint.stats t.group
   let store t s = Site_core.store t.sites.(s).core
-  let log t s = Site_core.log t.sites.(s).core
   let deadlocks _ = 0
   let supports_failures = true
   let crash t s = Endpoint.crash t.group s

@@ -125,7 +125,6 @@ val majority : ('p, 'o, 's) t -> int
 module Ops : sig
   val net_stats : ('p, 'o, 's) t -> Net.Net_stats.t
   val store : ('p, 'o, 's) t -> Net.Site_id.t -> Db.Version_store.t
-  val log : ('p, 'o, 's) t -> Net.Site_id.t -> Db.Redo_log.t
   val deadlocks : ('p, 'o, 's) t -> int
   val supports_failures : bool
   val crash : ('p, 'o, 's) t -> Net.Site_id.t -> unit

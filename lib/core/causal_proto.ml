@@ -115,14 +115,13 @@ let schedule_idle_ack t (st : site) =
   | None -> ()
 
 let drop_lock_stamps (st : site) txn =
-  let keys = List.map fst (Site_core.buffered_writes st.core ~txn) in
   List.iter
     (fun k ->
       match Hashtbl.find_opt st.proto.lock_stamp k with
       | Some (holder, _) when Txn_id.equal holder txn ->
         Hashtbl.remove st.proto.lock_stamp k
       | Some _ | None -> ())
-    keys
+    (Site_core.buffered_keys st.core ~txn)
 
 let mark_decided (st : site) p =
   p.p_decided <- true;

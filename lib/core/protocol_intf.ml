@@ -31,8 +31,6 @@ module type S = sig
 
   val store : t -> Net.Site_id.t -> Db.Version_store.t
 
-  val log : t -> Net.Site_id.t -> Db.Redo_log.t
-
   val deadlocks : t -> int
   (** Deadlock cycles broken so far. Constantly 0 for the broadcast
       protocols — they prevent deadlocks by construction (experiment E6

@@ -4,7 +4,6 @@ type t = {
   site : Net.Site_id.t;
   mutable store : Db.Version_store.t;
   locks : Db.Lock_manager.t;
-  mutable log : Db.Redo_log.t;
   history : Verify.History.t;
   (* (txn, key) -> resume-once-granted continuation *)
   waiting : (Txn_id.t * Op.key, unit -> unit) Hashtbl.t;
@@ -41,7 +40,6 @@ let create ?(sampler = Obs.Sampler.none) ~site ~policy ~history () =
     site;
     store = Db.Version_store.create ();
     locks;
-    log = Db.Redo_log.create ();
     history;
     waiting;
     buffers = Txn_id.Tbl.create 32;
@@ -50,11 +48,9 @@ let create ?(sampler = Obs.Sampler.none) ~site ~policy ~history () =
 let site t = t.site
 let store t = t.store
 let locks t = t.locks
-let log t = t.log
 let history t = t.history
 
 let replace_store t store = t.store <- store
-let reset_log t = t.log <- Db.Redo_log.create ()
 
 let run_reads t ~txn ~keys ~on_done =
   let rec step remaining acc =
@@ -90,23 +86,33 @@ let buffer_write t ~txn key value =
   | Some l -> l := (key, value) :: !l
   | None -> Txn_id.Tbl.add t.buffers txn (ref [ (key, value) ])
 
+(* A buffer is newest first, and short: a key's first entry holds its last
+   value, and its last entry marks its first write. *)
+let rec written k = function
+  | [] -> false
+  | (k', _) :: older -> k' = k || written k older
+
+let rec newest k = function
+  | ((k', _) as w) :: older -> if k' = k then w else newest k older
+  | [] -> assert false (* [k] is in the buffer *)
+
+(* [f k] for each distinct key of a buffer, in first-write order. *)
+let rec first_writes f acc = function
+  | [] -> acc
+  | (k, _) :: older ->
+    first_writes f (if written k older then acc else f k :: acc) older
+
 let buffered_writes t ~txn =
   match Txn_id.Tbl.find_opt t.buffers txn with
   | None -> []
   | Some l ->
-    (* reversed arrival order: keep the newest value per key, emit keys in
-       first-write order *)
-    let newest = Hashtbl.create 8 in
-    List.iter
-      (fun (k, v) -> if not (Hashtbl.mem newest k) then Hashtbl.add newest k v)
-      !l;
-    List.rev !l
-    |> List.filter_map (fun (k, _) ->
-           match Hashtbl.find_opt newest k with
-           | Some v ->
-             Hashtbl.remove newest k;
-             Some (k, v)
-           | None -> None)
+    let buf = !l in
+    first_writes (fun k -> newest k buf) [] buf
+
+let buffered_keys t ~txn =
+  match Txn_id.Tbl.find_opt t.buffers txn with
+  | None -> []
+  | Some l -> first_writes Fun.id [] !l
 
 let buffered_txns t = Txn_id.Tbl.fold (fun txn _ acc -> txn :: acc) t.buffers []
 
@@ -125,8 +131,7 @@ let forget t ~txn =
   cancel_waits t txn
 
 let apply_writes t ~txn writes =
-  let index = Db.Version_store.apply t.store ~writer:txn writes in
-  Db.Redo_log.append t.log ~txn ~writes ~index;
+  ignore (Db.Version_store.apply t.store ~writer:txn writes);
   Verify.History.record_apply t.history ~site:t.site txn
 
 let apply_commit t ~txn =

@@ -1,12 +1,11 @@
 (** Per-site runtime shared by every protocol.
 
-    Owns one replica: the versioned store, the strict-2PL lock manager, the
-    redo log, pending write buffers (updates are buffered from delivery
-    until commit — strictness), and the continuations of transactions
-    waiting on read locks. The baseline uses it with the [Wait] policy, the
-    reliable- and causal-broadcast protocols with [No_wait]. The atomic
-    protocol takes no locks: it uses only the store, the log and the
-    write buffers. *)
+    Owns one replica: the store, the strict-2PL lock manager, pending
+    write buffers (updates are buffered from delivery until commit —
+    strictness), and the continuations of transactions waiting on read
+    locks. The baseline uses it with the [Wait] policy, the reliable- and
+    causal-broadcast protocols with [No_wait]. The atomic protocol takes no
+    locks: it uses only the store and the write buffers. *)
 
 type t
 
@@ -25,14 +24,10 @@ val create :
 val site : t -> Net.Site_id.t
 val store : t -> Db.Version_store.t
 val locks : t -> Db.Lock_manager.t
-val log : t -> Db.Redo_log.t
 val history : t -> Verify.History.t
 
 val replace_store : t -> Db.Version_store.t -> unit
 (** Install a transferred snapshot (join-time state transfer). *)
-
-val reset_log : t -> unit
-(** Start the redo log afresh (the importer replays the snapshot's log). *)
 
 (** {2 Read phase} *)
 
@@ -67,6 +62,9 @@ val buffer_write : t -> txn:Db.Txn_id.t -> Op.key -> Op.value -> unit
 val buffered_writes : t -> txn:Db.Txn_id.t -> (Op.key * Op.value) list
 (** Current buffer, in first-write order with last-wins values. *)
 
+val buffered_keys : t -> txn:Db.Txn_id.t -> Op.key list
+(** The keys of {!buffered_writes}, in the same order. *)
+
 val buffered_txns : t -> Db.Txn_id.t list
 (** Every transaction with a write buffer. *)
 
@@ -76,8 +74,8 @@ val drop_buffer : t -> txn:Db.Txn_id.t -> unit
 (** {2 Termination} *)
 
 val apply_writes : t -> txn:Db.Txn_id.t -> (Op.key * Op.value) list -> unit
-(** Apply a write set to the store, append it to the redo log and record
-    the apply in the history. Touches no lock and no buffer. *)
+(** Apply a write set to the store and record the apply in the history.
+    Touches no lock and no buffer. *)
 
 val apply_commit : t -> txn:Db.Txn_id.t -> unit
 (** {!apply_writes} the buffer, release all locks (promoting waiters) and

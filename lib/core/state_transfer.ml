@@ -1,26 +1,16 @@
 type t = {
   xfer_dump : Db.Version_store.dump;
-  xfer_log : (Db.Txn_id.t * (Op.key * Op.value) list) list;
+  xfer_applies : Verify.History.apply_log;
 }
 
 let export core =
   {
     xfer_dump = Db.Version_store.snapshot (Site_core.store core);
-    xfer_log =
-      List.map
-        (fun e -> (e.Db.Redo_log.txn, e.Db.Redo_log.writes))
-        (Db.Redo_log.entries (Site_core.log core));
+    xfer_applies =
+      Verify.History.apply_log (Site_core.history core) ~site:(Site_core.site core);
   }
 
 let import core t =
   Site_core.replace_store core (Db.Version_store.restore t.xfer_dump);
-  Site_core.reset_log core;
-  let history = Site_core.history core in
-  let site = Site_core.site core in
-  Verify.History.reset_applies history ~site;
-  let log = Site_core.log core in
-  List.iteri
-    (fun i (txn, writes) ->
-      Db.Redo_log.append log ~txn ~writes ~index:(i + 1);
-      Verify.History.record_apply history ~site txn)
-    t.xfer_log
+  Verify.History.adopt_apply_log (Site_core.history core) ~site:(Site_core.site core)
+    t.xfer_applies

@@ -1,18 +1,21 @@
-(** Versioned key-value storage for one database replica.
+(** Newest-value key-value storage for one database replica.
 
     Keys and values are integers (the paper's model is agnostic to content).
     Every committed write set is applied atomically at the next local commit
-    index; past versions are retained so read-only transactions can read a
-    consistent snapshot ("as of commit index [i]") without blocking or
-    aborting — the mechanism behind the paper's never-aborted read-only
-    transactions in the atomic-broadcast protocol.
+    index. Each key holds one version: its newest value, the transaction
+    that wrote it and the commit index that wrote it. No older version is
+    kept, because no read needs one: every read runs at the replica's
+    current commit index. That includes the atomic-broadcast protocol's
+    read-only transactions, which read synchronously at their origin's
+    current index — a prefix of the shared total order, so a consistent
+    snapshot that never blocks or aborts. The store thus holds O(keys)
+    state, and an overwrite allocates nothing.
 
-    Each version remembers the transaction that wrote it, which lets the
-    verifier reconstruct reads-from relationships for the one-copy
-    serialization graph.
+    The writer of each version lets the verifier reconstruct reads-from
+    relationships for the one-copy serialization graph.
 
-    Unwritten keys read as 0 at every index, so the database is logically
-    total over any key range. *)
+    Unwritten keys read as 0, so the database is logically total over any
+    key range. *)
 
 type key = int
 type value = int
@@ -26,15 +29,11 @@ val commit_index : t -> int
     the first [i] applications. *)
 
 val apply : t -> ?writer:Txn_id.t -> (key * value) list -> int
-(** Atomically apply a write set; returns the new commit index. An empty
-    write set still advances the index (keeps indices aligned with commit
-    events). *)
+(** Atomically apply a write set; returns the new commit index. A key
+    written twice in one set keeps the later value. An empty write set
+    still advances the index (keeps indices aligned with commit events). *)
 
 val read_latest : t -> key -> value
-
-val read_at : t -> index:int -> key -> value
-(** State as of commit index [index] (0 = initial state). Raises
-    [Invalid_argument] if [index] exceeds the current commit index. *)
 
 val version_of : t -> key -> int
 (** Commit index that last wrote the key (0 if never written). The
@@ -42,13 +41,6 @@ val version_of : t -> key -> int
 
 val writer_of : t -> key -> Txn_id.t option
 (** Transaction that last wrote the key, if any (and if it was recorded). *)
-
-val writer_at : t -> index:int -> key -> Txn_id.t option
-(** Writer of the version visible at the given commit index. *)
-
-val writer_sequence : t -> key -> Txn_id.t list
-(** Every recorded writer of the key, oldest first — per-key install order,
-    compared across replicas by the verifier. *)
 
 val keys : t -> key list
 (** Keys ever written, ascending — for replica-convergence checks. *)
@@ -61,6 +53,9 @@ val fingerprint : t -> int
 type dump
 
 val snapshot : t -> dump
-(** Full image of the store, for join-time state transfer. *)
+(** A copy of the store — one entry per key and the commit index — for
+    join-time state transfer. Later applies do not change it. *)
 
 val restore : dump -> t
+(** A fresh store holding the dump's state; applies to it do not change
+    the dump. *)

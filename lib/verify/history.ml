@@ -82,6 +82,15 @@ let record_apply t ~site txn =
 
 let reset_applies t ~site = Hashtbl.remove t.applies site
 
+type apply_log = Db.Txn_id.t list  (* reversed *)
+
+let apply_log t ~site =
+  match Hashtbl.find_opt t.applies site with Some l -> !l | None -> []
+
+let adopt_apply_log t ~site = function
+  | [] -> reset_applies t ~site
+  | log -> Hashtbl.replace t.applies site (ref log)
+
 let freeze c =
   {
     txn = c.c_txn;
@@ -107,10 +116,7 @@ let undecided t = List.filter (fun r -> r.outcome = None) (txns t)
 let find t txn =
   Option.map freeze (Db.Txn_id.Tbl.find_opt t.cells txn)
 
-let apply_order t ~site =
-  match Hashtbl.find_opt t.applies site with
-  | Some l -> List.rev !l
-  | None -> []
+let apply_order t ~site = List.rev (apply_log t ~site)
 
 let sites_applied t =
   Hashtbl.fold (fun s _ acc -> s :: acc) t.applies []

@@ -51,9 +51,21 @@ val record_apply : t -> site:Net.Site_id.t -> Db.Txn_id.t -> unit
 (** A site applied the transaction's write set (its local commit). *)
 
 val reset_applies : t -> site:Net.Site_id.t -> unit
-(** Forget a site's apply log. Used when a recovering site discards its
-    pre-crash state and re-derives it from a peer snapshot: its apply order
-    becomes the snapshot's, replayed by the importer. *)
+(** Forget a site's apply log. *)
+
+type apply_log
+(** One site's apply log at one moment. *)
+
+val apply_log : t -> site:Net.Site_id.t -> apply_log
+(** The site's apply log as it stands, in O(1). Later applies at the site,
+    and later adoptions by it, leave the returned log unchanged. *)
+
+val adopt_apply_log : t -> site:Net.Site_id.t -> apply_log -> unit
+(** Make the given log the site's apply log, in place of its own; an empty
+    one forgets the site, as {!reset_applies} does. Join-time state
+    transfer: the joiner discards its pre-crash state and takes on the
+    store, and so the apply order, of its snapshot's source as of the
+    export. *)
 
 (** {2 Inspection} *)
 

@@ -60,6 +60,24 @@ let test_history_apply_order () =
   H.reset_applies h ~site:1;
   Alcotest.(check (list int)) "reset" [] (List.map (fun t -> t.Txn.local) (H.apply_order h ~site:1))
 
+(* A site's apply log, taken as a value, is a cut: neither the site's later
+   applies nor its later adoptions change it. Adopting it replaces the
+   adopter's log, and adopting an empty one forgets the site. *)
+let test_history_apply_log_cut () =
+  let a = txn 0 1 and b = txn 0 2 and c = txn 0 3 in
+  let h = build [ begin_ a ~at:0; begin_ b ~at:0; begin_ c ~at:0; apply 1 a; apply 1 b ] in
+  let locals site = List.map (fun t -> t.Txn.local) (H.apply_order h ~site) in
+  let cut = H.apply_log h ~site:1 in
+  apply 1 c h;
+  H.adopt_apply_log h ~site:2 cut;
+  Alcotest.(check (list int)) "adopted the cut" [ 1; 2 ] (locals 2);
+  apply 2 c h;
+  Alcotest.(check (list int)) "the adopter goes on" [ 1; 2; 3 ] (locals 2);
+  H.adopt_apply_log h ~site:1 (H.apply_log h ~site:3);
+  Alcotest.(check (list int)) "sites" [ 2 ] (H.sites_applied h);
+  H.adopt_apply_log h ~site:3 cut;
+  Alcotest.(check (list int)) "the cut is unchanged" [ 1; 2 ] (locals 3)
+
 (* ------------------------------------------------------------------ *)
 (* Serialization checking *)
 
@@ -471,6 +489,7 @@ let () =
           tc "counts" `Quick test_history_counts;
           tc "first outcome wins" `Quick test_history_outcome_first_wins;
           tc "apply order" `Quick test_history_apply_order;
+          tc "apply log is a cut" `Quick test_history_apply_log_cut;
         ] );
       ( "serialization",
         [
