@@ -1,9 +1,11 @@
 module Vc = Lclock.Vector_clock
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
 
 type 'a release = { origin : Net.Site_id.t; vc : Vc.t; payload : 'a }
 
 (* A buffered message is parked on exactly one unsatisfied component of its
-   stamp: the bucket key [(site, count)] fires when the delivered count for
+   stamp: the wake key [(site, count)] fires when the delivered count for
    [site] reaches [count]. A delivery therefore wakes only the direct
    successors of the delivered message instead of re-filtering the whole
    pending list to a fixpoint (which goes quadratic under bursty arrivals).
@@ -13,8 +15,9 @@ type 'a parked = { release : 'a release; arrival : int }
 
 type 'a t = {
   delivered : int array;
-  buckets : (int * int, 'a parked list) Hashtbl.t;
-  pending_ids : (int * int, unit) Hashtbl.t;  (* (origin, seq) buffered *)
+  buckets : 'a parked list Int_map.t array;
+      (* per site: count -> the messages parked on (site, count) *)
+  pending : Int_set.t array;  (* per origin: the seqs buffered *)
   mutable next_arrival : int;
   mutable n_pending : int;
 }
@@ -23,8 +26,8 @@ let create ~n =
   if n <= 0 then invalid_arg "Delay_queue.create: n <= 0";
   {
     delivered = Array.make n 0;
-    buckets = Hashtbl.create 16;
-    pending_ids = Hashtbl.create 16;
+    buckets = Array.make n Int_map.empty;
+    pending = Array.make n Int_set.empty;
     next_arrival = 0;
     n_pending = 0;
   }
@@ -38,14 +41,15 @@ type 'a offer_result =
 
 let seq_of release = Vc.get release.vc release.origin
 
+(* Read in place: the next message from its origin, and nothing else in its
+   stamp undelivered here. *)
 let deliverable t release =
-  let v = Vc.to_array release.vc in
-  let ok = ref (v.(release.origin) = t.delivered.(release.origin) + 1) in
-  Array.iteri
-    (fun k vk ->
-      if k <> release.origin && vk > t.delivered.(k) then ok := false)
-    v;
-  !ok
+  let vc = release.vc and o = release.origin in
+  let rec covered k =
+    k = Array.length t.delivered
+    || ((k = o || Vc.get vc k <= t.delivered.(k)) && covered (k + 1))
+  in
+  Vc.get vc o = t.delivered.(o) + 1 && covered 0
 
 (* Minimal binary min-heap on arrival index: the sweep's scan cursor. *)
 module Heap = struct
@@ -101,51 +105,50 @@ end
    stale, so such a key exists; components only grow, so a fired key stays
    satisfied and re-parking on another never loses a wake. *)
 let park t parked =
-  let v = Vc.to_array parked.release.vc in
+  let vc = parked.release.vc in
   let o = parked.release.origin in
-  let key =
-    if t.delivered.(o) < v.(o) - 1 then (o, v.(o) - 1)
+  let site =
+    if t.delivered.(o) < Vc.get vc o - 1 then o
     else begin
-      let k = ref (-1) in
-      Array.iteri
-        (fun i vi -> if !k < 0 && i <> o && vi > t.delivered.(i) then k := i)
-        v;
-      (!k, v.(!k))
+      let rec lagging k =
+        if k <> o && Vc.get vc k > t.delivered.(k) then k else lagging (k + 1)
+      in
+      lagging 0
     end
   in
-  let bucket = try Hashtbl.find t.buckets key with Not_found -> [] in
-  Hashtbl.replace t.buckets key (parked :: bucket)
+  let count = if site = o then Vc.get vc o - 1 else Vc.get vc site in
+  let m = t.buckets.(site) in
+  let bucket = match Int_map.find_opt count m with Some l -> l | None -> [] in
+  t.buckets.(site) <- Int_map.add count (parked :: bucket) m
 
-let take_bucket t key =
-  match Hashtbl.find_opt t.buckets key with
+let take_bucket t site count =
+  let m = t.buckets.(site) in
+  match Int_map.find_opt count m with
   | None -> []
   | Some l ->
-    Hashtbl.remove t.buckets key;
+    t.buckets.(site) <- Int_map.remove count m;
     l
 
 (* Remove every parked message matching [pred] on its (origin, seq)
    identity (rare: membership changes and catch-up jumps only). *)
 let remove_parked t pred =
-  let updates =
-    Hashtbl.fold
-      (fun key bucket acc ->
-        let kept =
-          List.filter (fun p -> not (pred p.release.origin (seq_of p.release))) bucket
-        in
-        if List.length kept <> List.length bucket then
-          (key, kept, List.length bucket - List.length kept) :: acc
-        else acc)
-      t.buckets []
-  in
-  List.iter
-    (fun (key, kept, dropped) ->
-      t.n_pending <- t.n_pending - dropped;
-      if kept = [] then Hashtbl.remove t.buckets key
-      else Hashtbl.replace t.buckets key kept)
-    updates;
-  Hashtbl.filter_map_inplace
-    (fun (o, s) () -> if pred o s then None else Some ())
-    t.pending_ids
+  Array.iteri
+    (fun site m ->
+      t.buckets.(site) <-
+        Int_map.filter_map
+          (fun _ bucket ->
+            let kept =
+              List.filter
+                (fun p -> not (pred p.release.origin (seq_of p.release)))
+                bucket
+            in
+            t.n_pending <- t.n_pending - (List.length bucket - List.length kept);
+            if kept = [] then None else Some kept)
+          m)
+    t.buckets;
+  Array.iteri
+    (fun o seqs -> t.pending.(o) <- Int_set.filter (fun s -> not (pred o s)) seqs)
+    t.pending
 
 (* Sweep: deliver everything a set of count changes unblocks. Candidates
    are processed in ascending arrival index; a delivery wakes only the
@@ -159,20 +162,21 @@ let drain_from t woken =
   let next_round = ref [] in
   List.iter (fun p -> Heap.push heap p.arrival p) woken;
   let pos = ref (-1) in
-  let wake key =
+  let wake site count =
     List.iter
       (fun p ->
         if p.arrival > !pos then Heap.push heap p.arrival p
         else next_round := p :: !next_round)
-      (take_bucket t key)
+      (take_bucket t site count)
   in
   let deliver p =
     let o = p.release.origin in
-    t.delivered.(o) <- t.delivered.(o) + 1;
-    Hashtbl.remove t.pending_ids (o, t.delivered.(o));
+    let seq = t.delivered.(o) + 1 in
+    t.delivered.(o) <- seq;
+    t.pending.(o) <- Int_set.remove seq t.pending.(o);
     t.n_pending <- t.n_pending - 1;
     released := p.release :: !released;
-    wake (o, t.delivered.(o))
+    wake o seq
   in
   let sweeping = ref true in
   while !sweeping do
@@ -196,16 +200,20 @@ let offer t ~origin ~vc payload =
   let release = { origin; vc; payload } in
   let seq = seq_of release in
   if seq <= t.delivered.(origin) then Duplicate
-  else if Hashtbl.mem t.pending_ids (origin, seq) then Duplicate
+  else if t.n_pending > 0 && Int_set.mem seq t.pending.(origin) then Duplicate
   else if deliverable t release then begin
     t.delivered.(origin) <- seq;
-    let woken = take_bucket t (origin, seq) in
-    Ready (release :: drain_from t woken)
+    (* With nothing parked there is nobody to wake. *)
+    if t.n_pending = 0 then Ready [ release ]
+    else
+      match take_bucket t origin seq with
+      | [] -> Ready [ release ]
+      | woken -> Ready (release :: drain_from t woken)
   end
   else begin
     let parked = { release; arrival = t.next_arrival } in
     t.next_arrival <- t.next_arrival + 1;
-    Hashtbl.replace t.pending_ids (origin, seq) ();
+    t.pending.(origin) <- Int_set.add seq t.pending.(origin);
     t.n_pending <- t.n_pending + 1;
     park t parked;
     Buffered
@@ -219,7 +227,7 @@ let fast_forward t ~origin ~count =
     remove_parked t (fun o seq -> Net.Site_id.equal o origin && seq <= count);
     let woken = ref [] in
     for c = from + 1 to count do
-      woken := !woken @ take_bucket t (origin, c)
+      woken := !woken @ take_bucket t origin c
     done;
     drain_from t !woken
   end

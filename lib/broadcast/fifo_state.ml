@@ -2,19 +2,14 @@ module Int_map = Map.Make (Int)
 
 type 'a origin_state = { mutable next : int; mutable buffered : 'a Int_map.t }
 
-type 'a t = (Net.Site_id.t, 'a origin_state) Hashtbl.t
+(* One slot per possible origin, indexed by site: sites are below
+   [Site_id.max_sites]. *)
+type 'a t = 'a origin_state array
 
-let create () = Hashtbl.create 16
+let create () =
+  Array.init Net.Site_id.max_sites (fun _ -> { next = 0; buffered = Int_map.empty })
 
-let state t origin =
-  match Hashtbl.find_opt t origin with
-  | Some s -> s
-  | None ->
-    let s = { next = 0; buffered = Int_map.empty } in
-    Hashtbl.add t origin s;
-    s
-
-let expected t ~origin = (state t origin).next
+let expected t ~origin = t.(origin).next
 
 type 'a offer_result =
   | Ready of (int * 'a) list
@@ -35,11 +30,12 @@ let drain s =
   loop []
 
 let offer t ~origin ~seq msg =
-  let s = state t origin in
+  let s = t.(origin) in
   if seq < s.next then Duplicate
   else if seq = s.next then begin
     s.next <- s.next + 1;
-    Ready ((seq, msg) :: drain s)
+    if Int_map.is_empty s.buffered then Ready [ (seq, msg) ]
+    else Ready ((seq, msg) :: drain s)
   end
   else if Int_map.mem seq s.buffered then Duplicate
   else begin
@@ -48,7 +44,7 @@ let offer t ~origin ~seq msg =
   end
 
 let fast_forward t ~origin ~next_seq =
-  let s = state t origin in
+  let s = t.(origin) in
   if next_seq <= s.next then []
   else begin
     s.next <- next_seq;
@@ -56,10 +52,7 @@ let fast_forward t ~origin ~next_seq =
     drain s
   end
 
-let purge t ~origin =
-  match Hashtbl.find_opt t origin with
-  | Some s -> s.buffered <- Int_map.empty
-  | None -> ()
+let purge t ~origin = t.(origin).buffered <- Int_map.empty
 
 let pending_count t =
-  Hashtbl.fold (fun _ s acc -> acc + Int_map.cardinal s.buffered) t 0
+  Array.fold_left (fun acc s -> acc + Int_map.cardinal s.buffered) 0 t

@@ -3,7 +3,8 @@
     Messages from each origin carry contiguous sequence numbers; this module
     releases them in order, buffering early arrivals and discarding
     duplicates and stale (already-released) copies. Pure bookkeeping — no
-    I/O — so it is directly unit-testable. *)
+    I/O — so it is directly unit-testable. Origins are sites, indexed
+    directly: [0 <= origin < Net.Site_id.max_sites]. *)
 
 type 'a t
 

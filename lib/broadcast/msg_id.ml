@@ -13,11 +13,14 @@ let compare a b =
   end
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a.origin = b.origin && a.cls = b.cls && a.seq = b.seq
 
-(* Every field is immediate, so this hashes the record in place without
-   allocating. *)
-let hash t = Hashtbl.hash t
+(* Plain arithmetic on the three fields, mixed by one odd multiply:
+   [Hashtbl] indexes its buckets with the low bits, and sequence numbers
+   alone would fill them in runs. *)
+let hash t =
+  let h = (((t.seq lsl 6) lor t.origin) lsl 2) lor cls_rank t.cls in
+  (h * 0x1E3779B97F4A7C15) lsr 17
 
 let pp_cls ppf cls =
   Format.pp_print_string ppf

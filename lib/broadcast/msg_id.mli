@@ -15,7 +15,8 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val hash : t -> int
-(** [Hashtbl.hash] of the record; allocation-free. *)
+(** A mix of the three fields in plain arithmetic: allocation-free and
+    never a call into the runtime's polymorphic hash. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_cls : Format.formatter -> cls -> unit

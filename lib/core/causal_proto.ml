@@ -7,6 +7,18 @@ module Shell = Bcast_shell
 
 let name = "causal"
 
+(* What a record's last commit check found it waiting for. *)
+type wait =
+  | Unchecked  (* created since the last check *)
+  | Ack_from of Site_id.t
+      (* the first participant whose implicit acknowledgment is missing:
+         until a delivery from it, the check must fail again *)
+  | Event
+      (* no commit request yet, a participant's NACK short of a majority of
+         witnesses, a local refusal, or a minority view: only a handler for
+         this transaction, a view change or a snapshot install can change
+         that *)
+
 type part_rec = {
   p_txn : Txn_id.t;
   p_origin : Site_id.t;
@@ -20,6 +32,7 @@ type part_rec = {
   mutable p_participants : Site_id.Set.t;  (* electorate; set with the cr *)
   mutable p_cr : Vc.t option;  (* stamp of the delivered commit request *)
   mutable p_decided : bool;
+  mutable p_wait : wait;  (* undecided records only *)
 }
 
 type payload =
@@ -64,7 +77,10 @@ type site_state = {
       (* every transaction this site has seen, decided ones included: a
          late NACK or echo must find its decided record, not re-create it *)
   mutable undecided : part_rec Txn_id.Map.t;
-      (* the records of [part] not yet decided: all the commit check visits *)
+      (* the records of [part] not yet decided: all a full check visits *)
+  waiting : part_rec Txn_id.Map.t array;
+      (* per site [r]: the undecided records whose [p_wait] is [Ack_from r] *)
+  mutable fresh : part_rec Txn_id.Map.t;  (* those whose [p_wait] is [Unchecked] *)
   (* implicit-acknowledgment machinery *)
   mutable last_vc : Vc.t option array;  (* per sender: stamp of last delivery *)
   lock_stamp : (Op.key, Txn_id.t * Vc.t) Hashtbl.t;  (* X holder's write stamp *)
@@ -92,10 +108,12 @@ let part_of (st : site) ~txn ~origin =
         p_participants = Site_id.Set.empty;
         p_cr = None;
         p_decided = false;
+        p_wait = Unchecked;
       }
     in
     Txn_id.Tbl.add st.proto.part txn p;
     st.proto.undecided <- Txn_id.Map.add txn p st.proto.undecided;
+    st.proto.fresh <- Txn_id.Map.add txn p st.proto.fresh;
     p
 
 let bcast ?txn (st : site) payload =
@@ -123,7 +141,33 @@ let drop_lock_stamps (st : site) txn =
       | Some _ | None -> ())
     (Site_core.buffered_keys st.core ~txn)
 
+(* Take [p] out of the index its [p_wait] names. *)
+let unfile (st : site) p =
+  match p.p_wait with
+  | Unchecked -> st.proto.fresh <- Txn_id.Map.remove p.p_txn st.proto.fresh
+  | Ack_from r ->
+    st.proto.waiting.(r) <- Txn_id.Map.remove p.p_txn st.proto.waiting.(r)
+  | Event -> ()
+
+let set_wait (st : site) p wait =
+  let unchanged =
+    match p.p_wait, wait with
+    | Ack_from r, Ack_from r' -> Site_id.equal r r'
+    | Event, Event -> true
+    | (Unchecked | Ack_from _ | Event), _ -> false
+  in
+  if not unchanged then begin
+    unfile st p;
+    p.p_wait <- wait;
+    match wait with
+    | Ack_from r ->
+      st.proto.waiting.(r) <- Txn_id.Map.add p.p_txn p st.proto.waiting.(r)
+    | Unchecked -> st.proto.fresh <- Txn_id.Map.add p.p_txn p st.proto.fresh
+    | Event -> ()
+  end
+
 let mark_decided (st : site) p =
+  unfile st p;
   p.p_decided <- true;
   st.proto.undecided <- Txn_id.Map.remove p.p_txn st.proto.undecided
 
@@ -143,64 +187,108 @@ let commit_at t st p =
     Shell.decide t st p.p_txn History.Committed
   end
 
-(* The implicit-acknowledgment test: every participant still in the current
-   view has been heard from causally after the commit request. *)
-let implicitly_acked (st : site) p =
-  match p.p_cr with
-  | None -> false
-  | Some vcr ->
-    let o = p.p_origin in
-    let me = Site_core.site st.core in
-    let need = Vc.get vcr o in
-    let view = Endpoint.view st.ep in
-    Site_id.Set.for_all
-      (fun r ->
-        Site_id.equal r o || Site_id.equal r me
-        || (not (Broadcast.View.mem view r))
-        ||
-        match st.proto.last_vc.(r) with
-        | Some v -> Vc.get v o >= need
-        | None -> false)
-      p.p_participants
+(* The implicit-acknowledgment test: the first participant still in the
+   current view not yet heard from causally after the commit request, if
+   any. *)
+let missing_ack (st : site) p vcr =
+  let o = p.p_origin in
+  let me = Site_core.site st.core in
+  let need = Vc.get vcr o in
+  let view = Endpoint.view st.ep in
+  let missing = ref None in
+  ignore
+    (Site_id.Set.exists
+       (fun r ->
+         let acked =
+           Site_id.equal r o || Site_id.equal r me
+           || (not (Broadcast.View.mem view r))
+           ||
+           match st.proto.last_vc.(r) with
+           | Some v -> Vc.get v o >= need
+           | None -> false
+         in
+         if not acked then missing := Some r;
+         not acked)
+       p.p_participants);
+  !missing
 
-let check_decision t (st : site) p =
-  if not p.p_decided && Site_id.Set.mem p.p_origin p.p_nacks then
+type verdict = Commit | Abort | Wait of wait
+
+(* The commit check of an undecided record, without its effects. *)
+let verdict t (st : site) p =
+  if Site_id.Set.mem p.p_origin p.p_nacks then
     (* The origin NACKed its own transaction (a refusal during its write
        phase): no commit request will ever follow — no site can ever commit
        it, so this abort is authoritative without a stability proof. *)
-    abort_at t st p ~reason:History.Write_conflict
-  else if not p.p_decided && p.p_cr <> None then begin
-    let me = Site_core.site st.core in
-    let nacked_by_participant =
-      not (Site_id.Set.disjoint p.p_nacks p.p_participants)
-    in
-    (* A local refusal matters only if we are a participant; a joiner whose
-       replayed interleaving refused a write that the electorate accepted
-       still applies the committed write set. *)
-    let locally_blocked = p.p_refused && Site_id.Set.mem me p.p_participants in
-    (* A participant's NACK blocks the commit immediately but finalizes the
-       abort only once a majority of all sites is known to have seen a NACK
-       (nackers plus echoers): under a partition a NACK may reach only a
-       minority side that is later expelled and re-initialized, while the
-       surviving primary component — which never saw it — commits. The
-       majority-witness rule makes that split impossible (any future primary
-       view intersects the witnesses); a site that cannot prove stability
-       waits, and a doomed minority origin leaves its client with an
-       undecided transaction rather than a wrong abort. *)
-    if
-      nacked_by_participant
-      && Site_id.Set.cardinal p.p_nack_witnesses >= Shell.majority t
-    then abort_at t st p ~reason:History.Write_conflict
-    else if
-      (not nacked_by_participant) && (not locally_blocked)
-      && Endpoint.is_primary st.ep && implicitly_acked st p
-    then commit_at t st p
-  end
+    Abort
+  else
+    match p.p_cr with
+    | None -> Wait Event
+    | Some vcr ->
+      let me = Site_core.site st.core in
+      (* A participant's NACK blocks the commit immediately but finalizes
+         the abort only once a majority of all sites is known to have seen
+         a NACK (nackers plus echoers): under a partition a NACK may reach
+         only a minority side that is later expelled and re-initialized,
+         while the surviving primary component — which never saw it —
+         commits. The majority-witness rule makes that split impossible
+         (any future primary view intersects the witnesses); a site that
+         cannot prove stability waits, and a doomed minority origin leaves
+         its client with an undecided transaction rather than a wrong
+         abort. *)
+      if not (Site_id.Set.disjoint p.p_nacks p.p_participants) then
+        if Site_id.Set.cardinal p.p_nack_witnesses >= Shell.majority t then Abort
+        else Wait Event
+      (* A local refusal matters only if we are a participant; a joiner
+         whose replayed interleaving refused a write that the electorate
+         accepted still applies the committed write set. *)
+      else if
+        (p.p_refused && Site_id.Set.mem me p.p_participants)
+        || not (Endpoint.is_primary st.ep)
+      then Wait Event
+      else
+        match missing_ack st p vcr with
+        | Some r -> Wait (Ack_from r)
+        | None -> Commit
 
-(* Iterates the map as it stands at scan start: a record decided during the
-   scan is still visited, and [check_decision] skips it. *)
+let check_decision t (st : site) p =
+  if not p.p_decided then
+    match verdict t st p with
+    | Abort -> abort_at t st p ~reason:History.Write_conflict
+    | Commit -> commit_at t st p
+    | Wait wait -> set_wait st p wait
+
+(* Both scans iterate their maps as they stand at scan start: a record
+   decided during the scan is still visited, and [check_decision] skips
+   it. The full scan follows a snapshot install. *)
 let scan_pending t (st : site) =
   Txn_id.Map.iter (fun _ p -> check_decision t st p) st.proto.undecided
+
+(* After a delivery from [sender], only two kinds of record can have
+   become decidable: those whose missing acknowledgment was [sender]'s
+   (the delivery may carry it), and those never checked. Every other
+   record waits on another site's delivery, on a handler for its own
+   transaction (which runs its check), or on a view change (which checks
+   every record). Decisions keep [Txn_id] order, as in a full scan. *)
+let scan_after_delivery t (st : site) sender =
+  let due = st.proto.waiting.(sender) in
+  let due =
+    if Txn_id.Map.is_empty st.proto.fresh then due
+    else Txn_id.Map.union (fun _ p _ -> Some p) due st.proto.fresh
+  in
+  Txn_id.Map.iter (fun _ p -> check_decision t st p) due
+
+let decidable t s =
+  let st = t.Shell.sites.(s) in
+  if not (Endpoint.is_ready st.ep) then []
+  else
+    Txn_id.Map.fold
+      (fun txn p acc ->
+        match verdict t st p with
+        | Wait _ -> acc
+        | Commit | Abort -> txn :: acc)
+      st.proto.undecided []
+    |> List.rev
 
 let send_nack st p =
   if not p.p_nack_sent then begin
@@ -310,7 +398,7 @@ let deliver t (st : site) (d : payload Endpoint.delivery) =
     handle_nack_echo t st ~txn ~origin:txn.Txn_id.origin ~nacker ~sender
   | Ack -> ()
   | Snapshot _ -> ());
-  scan_pending t st
+  scan_after_delivery t st sender
 
 let on_view_change t (st : site) view =
   Txn_id.Map.iter
@@ -339,6 +427,8 @@ let install_snapshot t (st : site) = function
   | Snapshot { xfer; active } ->
     Txn_id.Tbl.reset st.proto.part;
     st.proto.undecided <- Txn_id.Map.empty;
+    Array.fill st.proto.waiting 0 (Array.length st.proto.waiting) Txn_id.Map.empty;
+    st.proto.fresh <- Txn_id.Map.empty;
     Hashtbl.reset st.proto.lock_stamp;
     (* Understate what we have heard: delays commits, never corrupts the
        implicit-acknowledgment argument. *)
@@ -350,9 +440,12 @@ let install_snapshot t (st : site) = function
           Shell.relock st ~txn:ax.p_txn ~refused:ax.p_refused writes
         in
         (* the joiner has sent no NACK of its own yet *)
-        let p = { ax with p_refused = refused; p_nack_sent = false } in
+        let p =
+          { ax with p_refused = refused; p_nack_sent = false; p_wait = Unchecked }
+        in
         Txn_id.Tbl.add st.proto.part p.p_txn p;
-        st.proto.undecided <- Txn_id.Map.add p.p_txn p st.proto.undecided)
+        st.proto.undecided <- Txn_id.Map.add p.p_txn p st.proto.undecided;
+        st.proto.fresh <- Txn_id.Map.add p.p_txn p st.proto.fresh)
       active;
     scan_pending t st;
     (* the other sites wait on us for the transactions just imported *)
@@ -369,6 +462,8 @@ let create engine config ~history =
         {
           part = Txn_id.Tbl.create 64;
           undecided = Txn_id.Map.empty;
+          waiting = Array.make config.Config.n_sites Txn_id.Map.empty;
+          fresh = Txn_id.Map.empty;
           last_vc = Array.make config.Config.n_sites None;
           lock_stamp = Hashtbl.create 64;
           my_bcasts = 0;

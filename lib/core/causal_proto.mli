@@ -15,11 +15,14 @@
       everyone and no NACK" is exactly the all-yes vote set of two-phase
       commit, collected for free from the causal delivery machinery.
 
-    Each site re-runs this commit check after every delivery (and after a
-    view change or snapshot install) over the transactions still undecided
+    Each site runs this commit check over the transactions still undecided
     there, in {!Db.Txn_id.compare} order; transactions one delivery
-    completes decide in that order. Decided transactions keep their records
-    to absorb late NACKs, but the check does not visit them.
+    completes decide in that order. After a delivery from [r] it re-checks
+    only those whose last check found [r]'s acknowledgment missing, and
+    those never checked; a view change or snapshot install re-checks them
+    all (docs/PROTOCOLS.md argues why skipping the rest never delays a
+    decision). Decided transactions keep their records to absorb late
+    NACKs, but the check does not visit them.
 
     Safety: any NACK for [T] is broadcast by its sender before the sender
     delivers [T]'s commit request (writes causally precede the request), so
@@ -39,3 +42,10 @@
     conflicting operations are concurrent and hence will be aborted". *)
 
 include Protocol_intf.S
+
+val decidable : t -> Net.Site_id.t -> Db.Txn_id.t list
+(** The transactions still undecided at a ready site whose commit check
+    would decide them now, in {!Db.Txn_id.compare} order ([[]] at a site
+    that is down or joining). The check runs after every delivery, view
+    change and snapshot install, so between engine events this is always
+    empty; a property test holds it to that. *)

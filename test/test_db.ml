@@ -680,6 +680,153 @@ let prop_strict_2pl_wait =
     ~count:25 arb_lock_script
     (lock_script_runs ~policy:Lm.Wait)
 
+(* Differential test against the parent's lock manager on polymorphic hash
+   tables, kept as [Lock_manager_reference]: random Wait and No_wait
+   scripts over hot keys and a wide key range (enough distinct keys to
+   grow the table several times), with transaction ids spread over site
+   ids 0-62. After every step both managers must agree on the decision,
+   the whole [on_grant] sequence, each touched key's holders and waiters,
+   every live transaction's held keys, the totals, the decision counts,
+   and the sorted waits-for edges and active transactions. *)
+
+type diff_op = Lock of lock_op | Clear
+
+let diff_slots = 12
+
+let gen_diff_script =
+  QCheck.Gen.(
+    let key = frequency [ (7, int_bound 7); (3, int_range (-20) 199) ] in
+    let mode = map (fun b -> if b then Lm.Shared else Lm.Exclusive) bool in
+    list_size (int_range 1 400)
+      (frequency
+         [
+           ( 120,
+             map3
+               (fun s k m -> Lock (Op_acquire (s, k, m)))
+               (int_bound (diff_slots - 1)) key mode );
+           (40, map (fun s -> Lock (Op_release s)) (int_bound (diff_slots - 1)));
+           (1, return Clear);
+         ]))
+
+let arb_diff_script =
+  QCheck.make gen_diff_script
+    ~print:
+      (Format.asprintf "%a"
+         (Format.pp_print_list ~pp_sep:Format.pp_force_newline (fun ppf -> function
+            | Lock op -> pp_lock_op ppf op
+            | Clear -> Format.pp_print_string ppf "clear")))
+
+let lock_managers_agree ~policy ops =
+  let module R = Lock_manager_reference in
+  let got = ref [] and want = ref [] in
+  let lm = Lm.create ~policy ~on_grant:(fun t k m -> got := (t, k, m) :: !got) () in
+  let rf = R.create ~policy ~on_grant:(fun t k m -> want := (t, k, m) :: !want) () in
+  let generation = Array.make diff_slots 0 in
+  let slot_txn s =
+    Txn.make ~origin:(s * 11 mod 63) ~local:((generation.(s) * diff_slots) + s)
+  in
+  let touched = Hashtbl.create 64 in
+  let sorted l = List.sort compare l in
+  let check step =
+    let differs what =
+      QCheck.Test.fail_reportf "after step %d: %s differs" step what
+    in
+    if !got <> !want then differs "the on_grant sequence";
+    Hashtbl.iter
+      (fun k () ->
+        if Lm.holders lm k <> R.holders rf k then
+          differs (Printf.sprintf "the holders of key %d" k);
+        if Lm.waiters lm k <> R.waiters rf k then
+          differs (Printf.sprintf "the waiters of key %d" k))
+      touched;
+    for s = 0 to diff_slots - 1 do
+      if Lm.held_keys lm (slot_txn s) <> R.held_keys rf (slot_txn s) then
+        differs (Printf.sprintf "held_keys of slot %d" s)
+    done;
+    if Lm.held_total lm <> R.held_total rf then differs "held_total";
+    if Lm.waiting_total lm <> R.waiting_total rf then differs "waiting_total";
+    List.iter
+      (fun d -> if Lm.decisions lm d <> R.decisions rf d then differs "a decision count")
+      [ Lm.Granted; Lm.Queued; Lm.Refused ];
+    if sorted (Lm.waits_for_edges lm) <> sorted (R.waits_for_edges rf) then
+      differs "waits_for_edges";
+    if sorted (Lm.active_txns lm) <> sorted (R.active_txns rf) then
+      differs "active_txns"
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Lock (Op_acquire (s, k, m)) ->
+        Hashtbl.replace touched k ();
+        let t = slot_txn s in
+        if Lm.acquire lm ~txn:t k m <> R.acquire rf ~txn:t k m then
+          QCheck.Test.fail_reportf "step %d: the decisions differ" step
+      | Lock (Op_release s) ->
+        Lm.release_all lm (slot_txn s);
+        R.release_all rf (slot_txn s);
+        generation.(s) <- generation.(s) + 1
+      | Clear ->
+        Lm.clear lm;
+        R.clear rf);
+      check step)
+    ops;
+  true
+
+let prop_lock_manager_matches_reference policy label =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "lock manager matches the hash-table reference (%s)" label)
+    arb_diff_script
+    (lock_managers_agree ~policy)
+
+(* [Int_table] against [Hashtbl] under random replace/remove/clear over a
+   small key range, so tables run near their 3/4 load limit and removals
+   shift long probe runs: after every step, every key in the range finds
+   the same value (or the vacant one) and a fold lists the same bindings. *)
+
+type table_op = Put of int * int | Del of int | Wipe
+
+let prop_int_table_matches_hashtbl =
+  QCheck.Test.make ~name:"int table matches Hashtbl" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+        Gen.(
+          list_size (int_range 1 600)
+            (frequency
+               [
+                 (6, map2 (fun k v -> Put (k, v)) (int_range (-40) 160) nat);
+                 (4, map (fun k -> Del k) (int_range (-40) 160));
+                 (1, return Wipe);
+               ])))
+    (fun ops ->
+      let vacant = -1 in
+      let t = Db.Int_table.create ~vacant and h = Hashtbl.create 16 in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Put (k, v) ->
+            Db.Int_table.replace t k v;
+            Hashtbl.replace h k v
+          | Del k ->
+            Db.Int_table.remove t k;
+            Hashtbl.remove h k
+          | Wipe ->
+            Db.Int_table.clear t;
+            Hashtbl.reset h);
+          for k = -40 to 160 do
+            let want = Option.value (Hashtbl.find_opt h k) ~default:vacant in
+            if Db.Int_table.find t k <> want then
+              QCheck.Test.fail_reportf "after step %d: key %d finds %d, not %d"
+                step k (Db.Int_table.find t k) want
+          done;
+          let bindings =
+            List.sort compare (Db.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+          in
+          if bindings <> List.sort compare (List.of_seq (Hashtbl.to_seq h)) then
+            QCheck.Test.fail_reportf "after step %d: the bindings differ" step)
+        ops;
+      true)
+
 (* Txn ids *)
 
 let test_txn_id_order () =
@@ -713,6 +860,7 @@ let () =
           tc "generator covers the reference cases" `Quick
             test_store_generator_coverage;
         ] );
+      ( "int_table", [ QCheck_alcotest.to_alcotest prop_int_table_matches_hashtbl ] );
       ( "lock_manager",
         [
           tc "shared compatible" `Quick test_shared_compatible;
@@ -733,6 +881,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_strict_2pl_no_wait;
           QCheck_alcotest.to_alcotest prop_strict_2pl_wait;
           tc "wait policy can deadlock (sanity)" `Quick test_wait_policy_can_deadlock;
+          QCheck_alcotest.to_alcotest
+            (prop_lock_manager_matches_reference Lm.Wait "wait");
+          QCheck_alcotest.to_alcotest
+            (prop_lock_manager_matches_reference Lm.No_wait "no-wait");
         ] );
       ( "deadlock",
         [

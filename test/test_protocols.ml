@@ -148,24 +148,72 @@ let test_random_workload_serializable proto seed () =
   check_bool "one-copy serializable" true (R.one_copy_serializable r);
   check_bool "replicas converged" true (R.converged r)
 
+(* The coordinator's commits between its join export and the joiner's
+   install, over every rejoin of a run: apply instants at the coordinator
+   strictly after it sent the join commit (it exports the snapshot at that
+   instant) and before the joiner's reset. The join commit is the message
+   the joiner delivers by flush, without a stamp, at its reset. *)
+let commits_in_join_windows (r : R.result) =
+  let audit = Audit.Log.events r.R.audit in
+  let applies = Obs.Recorder.events r.R.recorder in
+  List.fold_left
+    (fun acc ev ->
+      match ev with
+      | Audit.Event.Reset { at = reset_at; site = joiner; _ } ->
+        let commit =
+          List.find_map
+            (function
+              | Audit.Event.Deliver { at; site; msg; vc = None; flush = true; _ }
+                when site = joiner && at = reset_at ->
+                Some msg
+              | _ -> None)
+            audit
+          |> Option.get
+        in
+        let sent_at =
+          List.find_map
+            (function
+              | Audit.Event.Send { at; msg; _ } when msg = commit -> Some at
+              | _ -> None)
+            audit
+          |> Option.get
+        in
+        let inside (e : Obs.Span.event) =
+          e.Obs.Span.phase = Obs.Span.Apply
+          && e.Obs.Span.site = commit.Audit.Event.origin
+          && Sim.Time.( < ) sent_at e.Obs.Span.at
+          && Sim.Time.( < ) e.Obs.Span.at reset_at
+        in
+        acc + List.length (List.filter inside applies)
+      | _ -> acc)
+    0 audit
+
 (* The apply-order audit of every site's store, over a run in which a
    broadcast protocol's site 2 crashes and rejoins through state transfer
    while the others keep committing: its apply order is then its snapshot
-   source's as of the export, continued. (For atomic, a joiner that took
-   its source's order as of its install instead fails here.) *)
+   source's as of the export, continued. The seed puts a commit at the
+   coordinator between its export and the joiner's install for each
+   broadcast protocol, so a joiner that took its source's order as of its
+   install instead fails here. *)
 let test_apply_order_replay_matches proto () =
+  let broadcast = proto <> Repdb.Protocol.Baseline in
   let events =
-    if proto = Repdb.Protocol.Baseline then []
-    else [ (Sim.Time.of_sec 0.1, R.Crash 2); (Sim.Time.of_sec 0.4, R.Recover 2) ]
+    if broadcast then
+      [ (Sim.Time.of_sec 0.1, R.Crash 2); (Sim.Time.of_sec 0.4, R.Recover 2) ]
+    else []
   in
   let r =
     R.run
-      (R.spec ~n_sites:3 ~txns_per_site:300 ~mpl:2 ~seed:17 ~events
+      (R.spec ~n_sites:3 ~txns_per_site:300 ~mpl:2 ~seed:26 ~events
+         ~collect_spans:broadcast ~collect_audit:broadcast
          ~profile:{ Workload.default with Workload.n_keys = 40 }
          proto)
   in
   check_int "every store read" 3 (List.length r.R.stores);
   check_bool "site 2 applied" true (H.apply_order r.R.history ~site:2 <> []);
+  if broadcast then
+    check_bool "the coordinator commits between export and install" true
+      (commits_in_join_windows r > 0);
   check_apply_order_replay r.R.history r.R.stores
 
 (* ------------------------------------------------------------------ *)
@@ -916,6 +964,77 @@ let prop_random_faults proto =
       let r = R.run spec in
       R.one_copy_serializable r && R.converged r)
 
+(* The causal commit check after a delivery visits only the records
+   waiting on the sender's acknowledgment or never checked. Whatever it
+   skips must not be decidable: after every engine event of a random
+   causal run under the chaos fault grammar (crashes, minority cuts, loss
+   bursts and rejoins through state transfer), no ready site may hold an
+   undecided transaction whose commit check would decide it. *)
+let prop_causal_nothing_decidable_left =
+  QCheck.Test.make
+    ~name:"causal: no undecided record is decidable after any engine event"
+    ~count:20
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let module P = Repdb.Causal_proto in
+      let rng = Sim.Rng.create ~seed in
+      let n = 3 + Sim.Rng.int rng 3 in
+      let plan = Chaos.Fault_plan.generate ~rng ~n_sites:n ~max_episodes:3 in
+      let config =
+        {
+          (Repdb.Config.default ~n_sites:n) with
+          Repdb.Config.hb_interval = Chaos.Fault_plan.hb_interval;
+          suspect_after = Chaos.Fault_plan.suspect_after;
+        }
+      in
+      let engine = Sim.Engine.create ~seed () in
+      let sys = P.create engine config ~history:(H.create ()) in
+      let profile =
+        { Workload.default with Workload.n_keys = 24; ro_fraction = 0.2 }
+      in
+      let gen = Workload.create profile ~rng:(Sim.Rng.split rng) in
+      let rec client site left =
+        if left > 0 then
+          ignore
+            (P.submit sys ~origin:site (Workload.next gen) ~on_done:(fun _ ->
+                 ignore
+                   (Sim.Engine.schedule engine ~delay:(Sim.Time.of_ms 1) (fun () ->
+                        client site (left - 1)))))
+      in
+      for site = 0 to n - 1 do
+        client site 60;
+        client site 60
+      done;
+      List.iter
+        (fun (time, ev) ->
+          ignore
+            (Sim.Engine.schedule_at engine ~time (fun () ->
+                 match ev with
+                 | R.Crash s -> P.crash sys s
+                 | R.Recover s -> P.recover sys s
+                 | R.Partition group -> P.partition sys group
+                 | R.Heal -> P.heal sys
+                 | R.Set_loss loss -> P.set_loss sys loss)))
+        (Chaos.Fault_plan.events plan);
+      let stop =
+        Sim.Time.add (Chaos.Fault_plan.end_time plan) (Sim.Time.of_sec 1.0)
+      in
+      let events = ref 0 in
+      while Sim.Time.( < ) (Sim.Engine.now engine) stop && Sim.Engine.step engine do
+        incr events;
+        for s = 0 to n - 1 do
+          match P.decidable sys s with
+          | [] -> ()
+          | txn :: _ ->
+            QCheck.Test.fail_reportf
+              "plan %s: after engine event %d (t=%.6f s), site %d holds the \
+               decidable %s undecided"
+              (Chaos.Fault_plan.to_string plan) !events
+              (Sim.Time.to_sec (Sim.Engine.now engine)) s (Db.Txn_id.to_string txn)
+        done
+      done;
+      true)
+
 (* A site that is down, or up but still joining, cannot take transactions:
    submit answers View_change once, before it returns. *)
 let test_unready_site_rejects proto () =
@@ -1012,6 +1131,7 @@ let () =
           tc "nack aborts everywhere" `Quick test_causal_nack_aborts_everywhere;
           tc "undecided set drains and stays bounded" `Quick
             test_causal_undecided_bounded;
+          QCheck_alcotest.to_alcotest prop_causal_nothing_decidable_left;
         ] );
       ( "atomic",
         [
