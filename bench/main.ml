@@ -126,7 +126,7 @@ let bench_atomic_txn () =
 
 let bench_wfg_detection () =
   (* E6's subject: waits-for-graph cycle search *)
-  let txn i = Db.Txn_id.make ~origin:i ~local:i in
+  let txn i = Db.Txn_id.make ~origin:(i mod Net.Site_id.max_sites) ~local:i in
   let edges = List.init 100 (fun i -> (txn i, txn ((i + 1) mod 101))) in
   fun () -> ignore (Db.Deadlock.find_cycle edges)
 

@@ -15,12 +15,13 @@ let compare a b =
 
 let equal a b = a.origin = b.origin && a.cls = b.cls && a.seq = b.seq
 
-(* Plain arithmetic on the three fields, mixed by one odd multiply:
-   [Hashtbl] indexes its buckets with the low bits, and sequence numbers
-   alone would fill them in runs. *)
-let hash t =
-  let h = (((t.seq lsl 6) lor t.origin) lsl 2) lor cls_rank t.cls in
-  (h * 0x1E3779B97F4A7C15) lsr 17
+(* Six bits hold an origin below [Site_id.max_sites] = 63, and two the
+   class. *)
+let key t = (((t.seq lsl 6) lor t.origin) lsl 2) lor cls_rank t.cls
+
+let of_key k =
+  let cls = match k land 3 with 0 -> Reliable | 1 -> Causal | _ -> Total in
+  { origin = (k lsr 2) land 63; cls; seq = k asr 8 }
 
 let pp_cls ppf cls =
   Format.pp_print_string ppf
@@ -37,10 +38,3 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
-
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

@@ -14,13 +14,17 @@ type t = { origin : Net.Site_id.t; cls : cls; seq : int }
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val hash : t -> int
-(** A mix of the three fields in plain arithmetic: allocation-free and
-    never a call into the runtime's polymorphic hash. *)
+val key : t -> int
+(** [(seq lsl 6 lor origin) lsl 2 lor class]: the id packed into one
+    [int], for [Sim.Int_table]. Injective over ids whose origin is below
+    [Site_id.max_sites] and whose [seq] is non-negative and below
+    [2{^ 54}]. Not ordered like {!compare}. *)
+
+val of_key : int -> t
+(** The id a {!key} packs. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_cls : Format.formatter -> cls -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
-module Tbl : Hashtbl.S with type key = t

@@ -9,12 +9,13 @@
     arise transiently across sequencer failovers; the order-sync protocol in
     {!Endpoint} makes the survivors agree).
 
-    Costs: arrivals and assignments are hash tables keyed by message id,
-    and slots an array indexed by global sequence number. [note_arrival],
-    [note_order], [assignment_of], [unassigned_count] and [pending_count]
-    cost amortized expected O(1), plus O(1) per message returned, and
-    [adopt] that much per assignment merged; none depends on the backlog.
-    The exceptions are noted below. Assignments are never pruned: the
+    Costs: arrivals and assignments are [Sim.Int_table]s keyed by
+    {!Msg_id.key}, slots an array indexed by global sequence number, and
+    the arrivals still awaiting an assignment a queue in arrival order.
+    [note_arrival], [note_order], [assignment_of], [unassigned_count] and
+    [pending_count] cost amortized expected O(1), plus O(1) per message
+    returned, and [adopt] that much per assignment merged; none depends on
+    the backlog. The exceptions are noted below. Assignments are never pruned: the
     assignment table and the slot array grow with every message ever
     ordered, delivered ones included. *)
 
@@ -54,9 +55,9 @@ val assignment_of : 'a t -> Msg_id.t -> int option
 
 val unordered_arrivals : 'a t -> Msg_id.t list
 (** Arrived messages with no known assignment — a newly elected sequencer
-    assigns these after syncing. In arrival order. O(k log k) for the k
-    returned, plus the most arrivals awaiting a slot at once since there
-    were none. *)
+    assigns these after syncing. In arrival order. O(k) for the k
+    returned, plus O(1) amortized per arrival assigned since the last
+    call. *)
 
 val unassigned_count : 'a t -> int
 (** [List.length (unordered_arrivals t)], in O(1). *)

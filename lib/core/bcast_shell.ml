@@ -9,7 +9,7 @@ type 'o origin = { on_done : outcome -> unit; state : 'o }
 type ('p, 'o, 's) site = {
   core : Site_core.t;
   ep : 'p Endpoint.t;
-  orig : 'o origin Txn_id.Tbl.t;
+  orig : 'o origin option Sim.Int_table.t;  (* keyed by [Txn_id.key] *)
   mutable next_local : int;
   proto : 's;
 }
@@ -47,7 +47,7 @@ let create engine config ~history ~classify ~proto ~deliver ~on_view ~export
         Site_core.create ~sampler:config.Config.sampler ~site
           ~policy:Db.Lock_manager.No_wait ~history ();
       ep = (Endpoint.endpoints group).(site);
-      orig = Txn_id.Tbl.create 64;
+      orig = Sim.Int_table.create ~vacant:None;
       next_local = 0;
       proto = proto ();
     }
@@ -70,7 +70,7 @@ let create engine config ~history ~classify ~proto ~deliver ~on_view ~export
         ~install:(fun payload ->
           (* Nothing from before the crash survives: the old locks would
              refuse later writes here and block readers forever. *)
-          Txn_id.Tbl.reset st.orig;
+          Sim.Int_table.clear st.orig;
           Site_core.reset st.core;
           install t st payload))
     t.sites;
@@ -80,14 +80,14 @@ let create engine config ~history ~classify ~proto ~deliver ~on_view ~export
         let site = Site_core.site st.core in
         Obs.Sampler.register config.Config.sampler ~name:"proto_outstanding"
           ~labels:[ ("site", string_of_int site) ] (fun () ->
-            float_of_int (Txn_id.Tbl.length st.orig)))
+            float_of_int (Sim.Int_table.length st.orig)))
       t.sites;
   t
 
 let finish_at_origin t st txn outcome =
-  match Txn_id.Tbl.find_opt st.orig txn with
+  match Sim.Int_table.find st.orig (Txn_id.key txn) with
   | Some o ->
-    Txn_id.Tbl.remove st.orig txn;
+    Sim.Int_table.remove st.orig (Txn_id.key txn);
     History.record_outcome t.history txn outcome;
     o.on_done outcome
   | None -> ()
@@ -123,7 +123,7 @@ let submit t ~origin ~on_done state start =
     on_done (History.Aborted History.View_change)
   end
   else begin
-    Txn_id.Tbl.add st.orig txn { on_done; state };
+    Sim.Int_table.replace st.orig (Txn_id.key txn) (Some { on_done; state });
     start st txn
   end;
   txn

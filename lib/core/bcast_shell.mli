@@ -23,7 +23,7 @@ type 'o origin = { on_done : outcome -> unit; state : 'o }
 type ('p, 'o, 's) site = {
   core : Site_core.t;
   ep : 'p Broadcast.Endpoint.t;
-  orig : 'o origin Db.Txn_id.Tbl.t;
+  orig : 'o origin option Sim.Int_table.t;  (** keyed by [Db.Txn_id.key] *)
   mutable next_local : int;
   proto : 's;
 }

@@ -5,6 +5,9 @@ module Endpoint = Broadcast.Endpoint
 module Vc = Lclock.Vector_clock
 module Shell = Bcast_shell
 
+(* Keyed by [Txn_id.key], which [Int.compare] orders as [Txn_id.compare]. *)
+module Txn_map = Map.Make (Int)
+
 let name = "causal"
 
 (* What a record's last commit check found it waiting for. *)
@@ -37,7 +40,7 @@ type part_rec = {
 
 type payload =
   | Write of { txn : Txn_id.t; key : Op.key; value : Op.value }
-  | Commit_req of { txn : Txn_id.t; participants : Site_id.t list }
+  | Commit_req of { txn : Txn_id.t; participants : Site_id.Set.t }
       (** the origin's view members at commit request time: the exact set
           whose implicit acknowledgments (and explicit NACKs) count, fixed
           once so sites deciding during a view transition agree *)
@@ -72,18 +75,20 @@ type origin_state = {
   mutable cr_sent : bool;
 }
 
+(* [part] and the maps are keyed by [Txn_id.key]. *)
 type site_state = {
-  part : part_rec Txn_id.Tbl.t;
+  part : part_rec Sim.Int_table.t;
       (* every transaction this site has seen, decided ones included: a
          late NACK or echo must find its decided record, not re-create it *)
-  mutable undecided : part_rec Txn_id.Map.t;
+  mutable undecided : part_rec Txn_map.t;
       (* the records of [part] not yet decided: all a full check visits *)
-  waiting : part_rec Txn_id.Map.t array;
+  waiting : part_rec Txn_map.t array;
       (* per site [r]: the undecided records whose [p_wait] is [Ack_from r] *)
-  mutable fresh : part_rec Txn_id.Map.t;  (* those whose [p_wait] is [Unchecked] *)
+  mutable fresh : part_rec Txn_map.t;  (* those whose [p_wait] is [Unchecked] *)
   (* implicit-acknowledgment machinery *)
   mutable last_vc : Vc.t option array;  (* per sender: stamp of last delivery *)
-  lock_stamp : (Op.key, Txn_id.t * Vc.t) Hashtbl.t;  (* X holder's write stamp *)
+  lock_stamp : (Txn_id.t * Vc.t) Sim.Int_table.t;
+      (* per key: the X holder's write stamp *)
   mutable my_bcasts : int;  (* causal messages this site has sent *)
 }
 
@@ -92,29 +97,42 @@ type site = (payload, origin_state, site_state) Shell.site
 
 include Shell.Ops
 
+let fresh_part ~txn ~origin =
+  {
+    p_txn = txn;
+    p_origin = origin;
+    p_refused = false;
+    p_nacks = Site_id.Set.empty;
+    p_nack_witnesses = Site_id.Set.empty;
+    p_nack_sent = false;
+    p_echo_sent = false;
+    p_participants = Site_id.Set.empty;
+    p_cr = None;
+    p_decided = false;
+    p_wait = Unchecked;
+  }
+
+(* The "no entry" values of [part] and [lock_stamp]; compared physically. *)
+let no_part = fresh_part ~txn:(Txn_id.make ~origin:0 ~local:0) ~origin:0
+let no_stamp = (no_part.p_txn, Vc.create ~n:1)
+
+let find_part (st : site) txn = Sim.Int_table.find st.proto.part (Txn_id.key txn)
+
+(* Index a new undecided record. *)
+let add_part (st : site) p =
+  let k = Txn_id.key p.p_txn in
+  Sim.Int_table.replace st.proto.part k p;
+  st.proto.undecided <- Txn_map.add k p st.proto.undecided;
+  st.proto.fresh <- Txn_map.add k p st.proto.fresh
+
 let part_of (st : site) ~txn ~origin =
-  match Txn_id.Tbl.find_opt st.proto.part txn with
-  | Some p -> p
-  | None ->
-    let p =
-      {
-        p_txn = txn;
-        p_origin = origin;
-        p_refused = false;
-        p_nacks = Site_id.Set.empty;
-        p_nack_witnesses = Site_id.Set.empty;
-        p_nack_sent = false;
-        p_echo_sent = false;
-        p_participants = Site_id.Set.empty;
-        p_cr = None;
-        p_decided = false;
-        p_wait = Unchecked;
-      }
-    in
-    Txn_id.Tbl.add st.proto.part txn p;
-    st.proto.undecided <- Txn_id.Map.add txn p st.proto.undecided;
-    st.proto.fresh <- Txn_id.Map.add txn p st.proto.fresh;
+  let p = find_part st txn in
+  if p != no_part then p
+  else begin
+    let p = fresh_part ~txn ~origin in
+    add_part st p;
     p
+  end
 
 let bcast ?txn (st : site) payload =
   st.proto.my_bcasts <- st.proto.my_bcasts + 1;
@@ -135,18 +153,19 @@ let schedule_idle_ack t (st : site) =
 let drop_lock_stamps (st : site) txn =
   List.iter
     (fun k ->
-      match Hashtbl.find_opt st.proto.lock_stamp k with
-      | Some (holder, _) when Txn_id.equal holder txn ->
-        Hashtbl.remove st.proto.lock_stamp k
-      | Some _ | None -> ())
+      let ((holder, _) as held) = Sim.Int_table.find st.proto.lock_stamp k in
+      if held != no_stamp && Txn_id.equal holder txn then
+        Sim.Int_table.remove st.proto.lock_stamp k)
     (Site_core.buffered_keys st.core ~txn)
 
 (* Take [p] out of the index its [p_wait] names. *)
 let unfile (st : site) p =
   match p.p_wait with
-  | Unchecked -> st.proto.fresh <- Txn_id.Map.remove p.p_txn st.proto.fresh
+  | Unchecked ->
+    st.proto.fresh <- Txn_map.remove (Txn_id.key p.p_txn) st.proto.fresh
   | Ack_from r ->
-    st.proto.waiting.(r) <- Txn_id.Map.remove p.p_txn st.proto.waiting.(r)
+    st.proto.waiting.(r) <-
+      Txn_map.remove (Txn_id.key p.p_txn) st.proto.waiting.(r)
   | Event -> ()
 
 let set_wait (st : site) p wait =
@@ -161,15 +180,17 @@ let set_wait (st : site) p wait =
     p.p_wait <- wait;
     match wait with
     | Ack_from r ->
-      st.proto.waiting.(r) <- Txn_id.Map.add p.p_txn p st.proto.waiting.(r)
-    | Unchecked -> st.proto.fresh <- Txn_id.Map.add p.p_txn p st.proto.fresh
+      st.proto.waiting.(r) <-
+        Txn_map.add (Txn_id.key p.p_txn) p st.proto.waiting.(r)
+    | Unchecked ->
+      st.proto.fresh <- Txn_map.add (Txn_id.key p.p_txn) p st.proto.fresh
     | Event -> ()
   end
 
 let mark_decided (st : site) p =
   unfile st p;
   p.p_decided <- true;
-  st.proto.undecided <- Txn_id.Map.remove p.p_txn st.proto.undecided
+  st.proto.undecided <- Txn_map.remove (Txn_id.key p.p_txn) st.proto.undecided
 
 let abort_at t st p ~reason =
   if not p.p_decided then begin
@@ -262,7 +283,7 @@ let check_decision t (st : site) p =
    decided during the scan is still visited, and [check_decision] skips
    it. The full scan follows a snapshot install. *)
 let scan_pending t (st : site) =
-  Txn_id.Map.iter (fun _ p -> check_decision t st p) st.proto.undecided
+  Txn_map.iter (fun _ p -> check_decision t st p) st.proto.undecided
 
 (* After a delivery from [sender], only two kinds of record can have
    become decidable: those whose missing acknowledgment was [sender]'s
@@ -273,20 +294,20 @@ let scan_pending t (st : site) =
 let scan_after_delivery t (st : site) sender =
   let due = st.proto.waiting.(sender) in
   let due =
-    if Txn_id.Map.is_empty st.proto.fresh then due
-    else Txn_id.Map.union (fun _ p _ -> Some p) due st.proto.fresh
+    if Txn_map.is_empty st.proto.fresh then due
+    else Txn_map.union (fun _ p _ -> Some p) due st.proto.fresh
   in
-  Txn_id.Map.iter (fun _ p -> check_decision t st p) due
+  Txn_map.iter (fun _ p -> check_decision t st p) due
 
 let decidable t s =
   let st = t.Shell.sites.(s) in
   if not (Endpoint.is_ready st.ep) then []
   else
-    Txn_id.Map.fold
-      (fun txn p acc ->
+    Txn_map.fold
+      (fun _ p acc ->
         match verdict t st p with
         | Wait _ -> acc
-        | Commit | Abort -> txn :: acc)
+        | Commit | Abort -> p.p_txn :: acc)
       st.proto.undecided []
     |> List.rev
 
@@ -302,7 +323,7 @@ let handle_write t (st : site) ~txn ~origin ~key ~value ~stamp =
     Site_core.buffer_write st.core ~txn key value;
     match Site_core.acquire_write st.core ~txn key ~on_granted:(fun () -> ()) with
     | Db.Lock_manager.Granted ->
-      Hashtbl.replace st.proto.lock_stamp key (txn, stamp)
+      Sim.Int_table.replace st.proto.lock_stamp key (txn, stamp)
     | Db.Lock_manager.Refused ->
       p.p_refused <- true;
       send_nack st p;
@@ -311,13 +332,14 @@ let handle_write t (st : site) ~txn ~origin ~key ~value ~stamp =
          have committed the holder yet — NACKing it too is safe and saves
          its remaining work (the paper's early abort of both). *)
       if t.Shell.config.Config.early_ww_abort then begin
-        match Hashtbl.find_opt st.proto.lock_stamp key with
-        | Some (holder, holder_stamp) when Vc.concurrent holder_stamp stamp -> begin
-          match Txn_id.Tbl.find_opt st.proto.part holder with
-          | Some hp when hp.p_cr = None && not hp.p_decided -> send_nack st hp
-          | Some _ | None -> ()
+        let ((holder, holder_stamp) as held) =
+          Sim.Int_table.find st.proto.lock_stamp key
+        in
+        if held != no_stamp && Vc.concurrent holder_stamp stamp then begin
+          let hp = find_part st holder in
+          if hp != no_part && hp.p_cr = None && not hp.p_decided then
+            send_nack st hp
         end
-        | Some _ | None -> ()
       end
     | Db.Lock_manager.Queued -> assert false (* No_wait policy *)
   end;
@@ -325,14 +347,12 @@ let handle_write t (st : site) ~txn ~origin ~key ~value ~stamp =
      commit request — unless one was refused, in which case the NACK already
      sent must stay ahead of any commit request. *)
   if Site_id.equal (Site_core.site st.core) txn.Txn_id.origin then begin
-    match Txn_id.Tbl.find_opt st.orig txn with
+    match Sim.Int_table.find st.orig (Txn_id.key txn) with
     | Some { state = o; _ } when not o.cr_sent ->
       o.self_pending <- o.self_pending - 1;
       if o.self_pending = 0 && not p.p_refused then begin
         o.cr_sent <- true;
-        let participants =
-          Broadcast.View.members_list (Endpoint.view st.ep)
-        in
+        let participants = (Endpoint.view st.ep).Broadcast.View.members in
         bcast ~txn:(Shell.atxn txn) st (Commit_req { txn; participants })
       end
     | Some _ | None -> ()
@@ -342,7 +362,7 @@ let handle_commit_req t (st : site) ~txn ~origin ~stamp ~participants =
   let p = part_of st ~txn ~origin in
   if not p.p_decided then begin
     p.p_cr <- Some stamp;
-    p.p_participants <- Site_id.Set.of_list participants;
+    p.p_participants <- participants;
     (* The origin's broadcast phase ends when its own commit request comes
        back; from here it is waiting for implicit acknowledgments. *)
     if Site_core.site st.core = txn.Txn_id.origin then
@@ -401,7 +421,7 @@ let deliver t (st : site) (d : payload Endpoint.delivery) =
   scan_after_delivery t st sender
 
 let on_view_change t (st : site) view =
-  Txn_id.Map.iter
+  Txn_map.iter
     (fun _ p ->
       if not p.p_decided then begin
         if p.p_cr = None && not (Broadcast.View.mem view p.p_origin) then
@@ -414,7 +434,7 @@ let on_view_change t (st : site) view =
 
 let export_snapshot (st : site) =
   let active =
-    Txn_id.Map.fold
+    Txn_map.fold
       (fun _ p acc ->
         (* a copy: the live record keeps changing after the export *)
         let frozen = { p with p_txn = p.p_txn } in
@@ -425,11 +445,11 @@ let export_snapshot (st : site) =
 
 let install_snapshot t (st : site) = function
   | Snapshot { xfer; active } ->
-    Txn_id.Tbl.reset st.proto.part;
-    st.proto.undecided <- Txn_id.Map.empty;
-    Array.fill st.proto.waiting 0 (Array.length st.proto.waiting) Txn_id.Map.empty;
-    st.proto.fresh <- Txn_id.Map.empty;
-    Hashtbl.reset st.proto.lock_stamp;
+    Sim.Int_table.clear st.proto.part;
+    st.proto.undecided <- Txn_map.empty;
+    Array.fill st.proto.waiting 0 (Array.length st.proto.waiting) Txn_map.empty;
+    st.proto.fresh <- Txn_map.empty;
+    Sim.Int_table.clear st.proto.lock_stamp;
     (* Understate what we have heard: delays commits, never corrupts the
        implicit-acknowledgment argument. *)
     st.proto.last_vc <- Array.make (Array.length st.proto.last_vc) None;
@@ -443,9 +463,7 @@ let install_snapshot t (st : site) = function
         let p =
           { ax with p_refused = refused; p_nack_sent = false; p_wait = Unchecked }
         in
-        Txn_id.Tbl.add st.proto.part p.p_txn p;
-        st.proto.undecided <- Txn_id.Map.add p.p_txn p st.proto.undecided;
-        st.proto.fresh <- Txn_id.Map.add p.p_txn p st.proto.fresh)
+        add_part st p)
       active;
     scan_pending t st;
     (* the other sites wait on us for the transactions just imported *)
@@ -460,12 +478,12 @@ let create engine config ~history =
     Shell.create engine config ~history ~classify
       ~proto:(fun () ->
         {
-          part = Txn_id.Tbl.create 64;
-          undecided = Txn_id.Map.empty;
-          waiting = Array.make config.Config.n_sites Txn_id.Map.empty;
-          fresh = Txn_id.Map.empty;
+          part = Sim.Int_table.create ~vacant:no_part;
+          undecided = Txn_map.empty;
+          waiting = Array.make config.Config.n_sites Txn_map.empty;
+          fresh = Txn_map.empty;
           last_vc = Array.make config.Config.n_sites None;
-          lock_stamp = Hashtbl.create 64;
+          lock_stamp = Sim.Int_table.create ~vacant:no_stamp;
           my_bcasts = 0;
         })
       ~deliver ~on_view:on_view_change ~export:export_snapshot
@@ -477,7 +495,7 @@ let create engine config ~history =
       (fun (st : site) ->
         Obs.Sampler.register sampler ~name:"causal_undecided"
           ~labels:[ ("site", string_of_int (Site_core.site st.core)) ]
-          (fun () -> float_of_int (Txn_id.Map.cardinal st.proto.undecided)))
+          (fun () -> float_of_int (Txn_map.cardinal st.proto.undecided)))
       t.Shell.sites;
   t
 

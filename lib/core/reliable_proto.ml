@@ -26,7 +26,7 @@ type part_rec = {
 
 type payload =
   | Write of { txn : Txn_id.t; key : Op.key; value : Op.value }
-  | Commit_req of { txn : Txn_id.t; participants : Site_id.t list }
+  | Commit_req of { txn : Txn_id.t; participants : Site_id.Set.t }
       (** the origin's view members when it requested commitment; votes are
           counted against exactly this set (minus members the decider has
           since removed from its view), so every site evaluates the same
@@ -161,7 +161,7 @@ let handle_commit_req t (st : site) ~txn ~origin ~participants =
   let p = part_of st ~txn ~origin in
   if not p.p_decided then begin
     p.p_cr_seen <- true;
-    p.p_participants <- Site_id.Set.of_list participants;
+    p.p_participants <- participants;
     (* The origin's broadcast phase ends when its own commit request comes
        back; from here it is collecting votes. *)
     if Site_core.site st.core = txn.Txn_id.origin then
@@ -318,7 +318,5 @@ let submit t ~origin spec ~on_done =
           List.iter
             (fun (key, value) -> bcast st txn (Write { txn; key; value }))
             writes;
-          let participants =
-            Broadcast.View.members_list (Endpoint.view st.ep)
-          in
+          let participants = (Endpoint.view st.ep).Broadcast.View.members in
           bcast st txn (Commit_req { txn; participants })))

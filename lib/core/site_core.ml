@@ -1,21 +1,43 @@
 module Txn_id = Db.Txn_id
 
+type buffer = {
+  b_txn : Txn_id.t;
+  mutable b_writes : (Op.key * Op.value) list;  (* reversed arrival *)
+}
+
+(* The buffer table's "no entry" value; compared physically. *)
+let no_buffer = { b_txn = Txn_id.make ~origin:0 ~local:0; b_writes = [] }
+
+(* Tables keyed by [Txn_id.key]. *)
 type t = {
   site : Net.Site_id.t;
   mutable store : Db.Version_store.t;
   locks : Db.Lock_manager.t;
   history : Verify.History.t;
-  (* (txn, key) -> resume-once-granted continuation *)
-  waiting : (Txn_id.t * Op.key, unit -> unit) Hashtbl.t;
-  buffers : (Op.key * Op.value) list ref Txn_id.Tbl.t;  (* reversed arrival *)
+  waiting : (Op.key * (unit -> unit)) list Sim.Int_table.t;
+      (* per transaction: each key it waits on, with the continuation to
+         resume once granted; never an empty list *)
+  buffers : buffer Sim.Int_table.t;
 }
 
+let rec waiter key = function
+  | [] -> None
+  | (k, continue) :: rest -> if k = key then Some continue else waiter key rest
+
+let rec without key = function
+  | [] -> []
+  | ((k, _) as w) :: rest -> if k = key then rest else w :: without key rest
+
 let create ?(sampler = Obs.Sampler.none) ~site ~policy ~history () =
-  let waiting = Hashtbl.create 32 in
+  let waiting = Sim.Int_table.create ~vacant:[] in
   let on_grant txn key _mode =
-    match Hashtbl.find_opt waiting (txn, key) with
+    let k = Txn_id.key txn in
+    let waits = Sim.Int_table.find waiting k in
+    match waiter key waits with
     | Some continue ->
-      Hashtbl.remove waiting (txn, key);
+      (match without key waits with
+      | [] -> Sim.Int_table.remove waiting k
+      | rest -> Sim.Int_table.replace waiting k rest);
       continue ()
     | None -> ()
   in
@@ -42,7 +64,7 @@ let create ?(sampler = Obs.Sampler.none) ~site ~policy ~history () =
     locks;
     history;
     waiting;
-    buffers = Txn_id.Tbl.create 32;
+    buffers = Sim.Int_table.create ~vacant:no_buffer;
   }
 
 let site t = t.site
@@ -51,6 +73,11 @@ let locks t = t.locks
 let history t = t.history
 
 let replace_store t store = t.store <- store
+
+let wait t ~txn key continue =
+  let k = Txn_id.key txn in
+  Sim.Int_table.replace t.waiting k
+    ((key, continue) :: without key (Sim.Int_table.find t.waiting k))
 
 let run_reads t ~txn ~keys ~on_done =
   let rec step remaining acc =
@@ -65,7 +92,7 @@ let run_reads t ~txn ~keys ~on_done =
       in
       (match Db.Lock_manager.acquire t.locks ~txn key Db.Lock_manager.Shared with
       | Db.Lock_manager.Granted -> perform ()
-      | Db.Lock_manager.Queued -> Hashtbl.replace t.waiting (txn, key) perform
+      | Db.Lock_manager.Queued -> wait t ~txn key perform
       | Db.Lock_manager.Refused ->
         (* Shared requests are queued, never refused. *)
         assert false)
@@ -77,14 +104,16 @@ let acquire_write t ~txn key ~on_granted =
     Db.Lock_manager.acquire t.locks ~txn key Db.Lock_manager.Exclusive
   in
   (match decision with
-  | Db.Lock_manager.Queued -> Hashtbl.replace t.waiting (txn, key) on_granted
+  | Db.Lock_manager.Queued -> wait t ~txn key on_granted
   | Db.Lock_manager.Granted | Db.Lock_manager.Refused -> ());
   decision
 
 let buffer_write t ~txn key value =
-  match Txn_id.Tbl.find_opt t.buffers txn with
-  | Some l -> l := (key, value) :: !l
-  | None -> Txn_id.Tbl.add t.buffers txn (ref [ (key, value) ])
+  let k = Txn_id.key txn in
+  let b = Sim.Int_table.find t.buffers k in
+  if b == no_buffer then
+    Sim.Int_table.replace t.buffers k { b_txn = txn; b_writes = [ (key, value) ] }
+  else b.b_writes <- (key, value) :: b.b_writes
 
 (* A buffer is newest first, and short: a key's first entry holds its last
    value, and its last entry marks its first write. *)
@@ -102,29 +131,20 @@ let rec first_writes f acc = function
   | (k, _) :: older ->
     first_writes f (if written k older then acc else f k :: acc) older
 
+(* [no_buffer] holds no writes, so an absent buffer reads as empty. *)
+let buffer t txn = (Sim.Int_table.find t.buffers (Txn_id.key txn)).b_writes
+
 let buffered_writes t ~txn =
-  match Txn_id.Tbl.find_opt t.buffers txn with
-  | None -> []
-  | Some l ->
-    let buf = !l in
-    first_writes (fun k -> newest k buf) [] buf
+  let buf = buffer t txn in
+  first_writes (fun k -> newest k buf) [] buf
 
-let buffered_keys t ~txn =
-  match Txn_id.Tbl.find_opt t.buffers txn with
-  | None -> []
-  | Some l -> first_writes Fun.id [] !l
+let buffered_keys t ~txn = first_writes Fun.id [] (buffer t txn)
 
-let buffered_txns t = Txn_id.Tbl.fold (fun txn _ acc -> txn :: acc) t.buffers []
+let buffered_txns t =
+  Sim.Int_table.fold (fun _ b acc -> b.b_txn :: acc) t.buffers []
 
-let drop_buffer t ~txn = Txn_id.Tbl.remove t.buffers txn
-
-let cancel_waits t txn =
-  let stale =
-    Hashtbl.fold
-      (fun (id, key) _ acc -> if Txn_id.equal id txn then (id, key) :: acc else acc)
-      t.waiting []
-  in
-  List.iter (Hashtbl.remove t.waiting) stale
+let drop_buffer t ~txn = Sim.Int_table.remove t.buffers (Txn_id.key txn)
+let cancel_waits t txn = Sim.Int_table.remove t.waiting (Txn_id.key txn)
 
 let forget t ~txn =
   drop_buffer t ~txn;
@@ -145,5 +165,5 @@ let abort_local t ~txn =
 
 let reset t =
   Db.Lock_manager.clear t.locks;
-  Hashtbl.reset t.waiting;
-  Txn_id.Tbl.reset t.buffers
+  Sim.Int_table.clear t.waiting;
+  Sim.Int_table.clear t.buffers

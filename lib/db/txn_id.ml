@@ -1,13 +1,22 @@
 type t = { origin : Net.Site_id.t; local : int }
 
-let make ~origin ~local = { origin; local }
+let make ~origin ~local =
+  if origin < 0 || origin >= Net.Site_id.max_sites then
+    invalid_arg "Txn_id.make: origin outside [0, Site_id.max_sites)";
+  if local < 0 then invalid_arg "Txn_id.make: negative local";
+  { origin; local }
 
 let compare a b =
   match Int.compare a.local b.local with
   | 0 -> Net.Site_id.compare a.origin b.origin
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a.local = b.local && a.origin = b.origin
+
+(* Six bits hold an origin below [Site_id.max_sites] = 63, and [local] is
+   the major field, as in [compare]. *)
+let key t = (t.local lsl 6) lor t.origin
+
 (* The record has the layout of the tuple [(origin, local)], so this is the
    tuple's hash without allocating the tuple. *)
 let hash t = Hashtbl.hash t

@@ -12,13 +12,13 @@ type cell = {
    table's empty slot. *)
 let vacant = { value = 0; writer = None; index = 0 }
 
-type t = { cells : cell Int_table.t; mutable commit_index : int }
+type t = { cells : cell Sim.Int_table.t; mutable commit_index : int }
 
-let create () = { cells = Int_table.create ~vacant; commit_index = 0 }
+let create () = { cells = Sim.Int_table.create ~vacant; commit_index = 0 }
 
 let commit_index t = t.commit_index
 
-let find t k = Int_table.find t.cells k
+let find t k = Sim.Int_table.find t.cells k
 
 let write t index writer (k, value) =
   let c = find t k in
@@ -27,7 +27,7 @@ let write t index writer (k, value) =
     c.writer <- writer;
     c.index <- index
   end
-  else Int_table.replace t.cells k { value; writer; index }
+  else Sim.Int_table.replace t.cells k { value; writer; index }
 
 let rec write_all t index writer = function
   | [] -> ()
@@ -45,15 +45,15 @@ let read_latest t k = (find t k).value
 let version_of t k = (find t k).index
 let writer_of t k = (find t k).writer
 
-let keys t = Int_table.fold (fun k _ acc -> k :: acc) t.cells [] |> List.sort Int.compare
+let keys t = Sim.Int_table.fold (fun k _ acc -> k :: acc) t.cells [] |> List.sort Int.compare
 
 let fingerprint t =
-  Int_table.fold (fun k c acc -> acc lxor Hashtbl.hash (k, c.value)) t.cells 0
+  Sim.Int_table.fold (fun k c acc -> acc lxor Hashtbl.hash (k, c.value)) t.cells 0
 
 type dump = t
 
 let copy t =
-  { t with cells = Int_table.map (fun c -> { c with index = c.index }) t.cells }
+  { t with cells = Sim.Int_table.map (fun c -> { c with index = c.index }) t.cells }
 
 let snapshot = copy
 let restore = copy

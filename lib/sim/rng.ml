@@ -48,32 +48,48 @@ let exponential t ~mean =
   -.mean *. log u
 
 module Zipf = struct
-  type gen = { cdf : float array }
+  (* [Uniform n] stands for the table [theta = 0] would build, whose entry
+     [k] is [float (k+1) /. float n]. *)
+  type gen = Table of float array | Uniform of int
 
   let create ~n ~theta =
     if n <= 0 then invalid_arg "Zipf.create: n <= 0";
-    let cdf = Array.make n 0.0 in
-    let total = ref 0.0 in
-    for k = 0 to n - 1 do
-      total := !total +. (1.0 /. Float.pow (float_of_int (k + 1)) theta);
-      cdf.(k) <- !total
-    done;
-    for k = 0 to n - 1 do
-      cdf.(k) <- cdf.(k) /. !total
-    done;
-    { cdf }
+    if theta = 0.0 then Uniform n
+    else begin
+      let cdf = Array.make n 0.0 in
+      let total = ref 0.0 in
+      for k = 0 to n - 1 do
+        total := !total +. (1.0 /. Float.pow (float_of_int (k + 1)) theta);
+        cdf.(k) <- !total
+      done;
+      for k = 0 to n - 1 do
+        cdf.(k) <- cdf.(k) /. !total
+      done;
+      Table cdf
+    end
 
-  let draw gen t =
-    let u = float t 1.0 in
-    (* Binary search for the first index with cdf >= u. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if gen.cdf.(mid) >= u then search lo mid else search (mid + 1) hi
-      end
-    in
-    search 0 (Array.length gen.cdf - 1)
+  (* The first index [k] whose entry is [>= u]. For [Uniform n] that index
+     is at most [floor (u * n)]: the entry at [ceil (u * n) - 1] rounds
+     [ceil (u * n) / n], which is [>= u]. The product [u *. float n],
+     rounded once, is not below that floor and overshoots the index by at
+     most one. *)
+  let index gen u =
+    match gen with
+    | Table cdf ->
+      let rec search lo hi =
+        if lo >= hi then lo
+        else begin
+          let mid = (lo + hi) / 2 in
+          if cdf.(mid) >= u then search lo mid else search (mid + 1) hi
+        end
+      in
+      search 0 (Array.length cdf - 1)
+    | Uniform n ->
+      let entry k = float_of_int (k + 1) /. float_of_int n in
+      let k = min (n - 1) (int_of_float (u *. float_of_int n)) in
+      if k > 0 && entry (k - 1) >= u then k - 1 else k
+
+  let draw gen t = index gen (float t 1.0)
 end
 
 let zipf t ~n ~theta =

@@ -43,8 +43,16 @@ module Zipf : sig
   type gen
 
   val create : n:int -> theta:float -> gen
-  (** Precomputes the CDF once; O(n) space. *)
+  (** Precomputes the CDF once, O(n) space, when [theta <> 0]; a uniform
+      generator ([theta = 0]) keeps only [n]. *)
+
+  val index : gen -> float -> int
+  (** The item a uniform [u] in [\[0, 1)] selects: the first rank [k] whose
+      CDF entry is [>= u]. With [theta = 0] the entries are
+      [float (k+1) /. float n], and the rank is computed from [u] in O(1),
+      equal to a search of those entries. *)
 
   val draw : gen -> t -> int
-  (** O(log n) per draw. *)
+  (** [index gen (float t 1.0)]: O(log n) per draw, O(1) when
+      [theta = 0]. *)
 end

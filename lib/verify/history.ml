@@ -42,26 +42,37 @@ type cell = {
 }
 
 type t = {
-  cells : cell Db.Txn_id.Tbl.t;
+  cells : cell Sim.Int_table.t;  (* keyed by [Txn_id.key] *)
   mutable order : Db.Txn_id.t list;  (* reversed begin order *)
-  applies : (Net.Site_id.t, Db.Txn_id.t list ref) Hashtbl.t;  (* reversed *)
+  applies : Db.Txn_id.t list array;  (* per site, reversed; [] if none *)
 }
 
+(* The cells table's "no entry" value; compared physically. *)
+let no_cell =
+  { c_txn = Db.Txn_id.make ~origin:0 ~local:0; c_origin = 0; c_reads = [];
+    c_writes = []; c_outcome = None }
+
 let create () =
-  { cells = Db.Txn_id.Tbl.create 256; order = []; applies = Hashtbl.create 16 }
+  {
+    cells = Sim.Int_table.create ~vacant:no_cell;
+    order = [];
+    applies = Array.make Net.Site_id.max_sites [];
+  }
 
 let begin_txn t txn ~origin =
-  if not (Db.Txn_id.Tbl.mem t.cells txn) then begin
-    Db.Txn_id.Tbl.add t.cells txn
+  let k = Db.Txn_id.key txn in
+  if Sim.Int_table.find t.cells k == no_cell then begin
+    Sim.Int_table.replace t.cells k
       { c_txn = txn; c_origin = origin; c_reads = []; c_writes = [];
         c_outcome = None };
     t.order <- txn :: t.order
   end
 
 let cell t txn =
-  match Db.Txn_id.Tbl.find_opt t.cells txn with
-  | Some c -> c
-  | None -> invalid_arg "History: unknown transaction (begin_txn missing)"
+  let c = Sim.Int_table.find t.cells (Db.Txn_id.key txn) in
+  if c == no_cell then
+    invalid_arg "History: unknown transaction (begin_txn missing)";
+  c
 
 let record_read t txn k ~from =
   let c = cell t txn in
@@ -75,21 +86,13 @@ let record_outcome t txn outcome =
   let c = cell t txn in
   if c.c_outcome = None then c.c_outcome <- Some outcome
 
-let record_apply t ~site txn =
-  match Hashtbl.find_opt t.applies site with
-  | Some l -> l := txn :: !l
-  | None -> Hashtbl.add t.applies site (ref [ txn ])
-
-let reset_applies t ~site = Hashtbl.remove t.applies site
+let record_apply t ~site txn = t.applies.(site) <- txn :: t.applies.(site)
+let reset_applies t ~site = t.applies.(site) <- []
 
 type apply_log = Db.Txn_id.t list  (* reversed *)
 
-let apply_log t ~site =
-  match Hashtbl.find_opt t.applies site with Some l -> !l | None -> []
-
-let adopt_apply_log t ~site = function
-  | [] -> reset_applies t ~site
-  | log -> Hashtbl.replace t.applies site (ref log)
+let apply_log t ~site = t.applies.(site)
+let adopt_apply_log t ~site log = t.applies.(site) <- log
 
 let freeze c =
   {
@@ -114,13 +117,13 @@ let aborted t =
 let undecided t = List.filter (fun r -> r.outcome = None) (txns t)
 
 let find t txn =
-  Option.map freeze (Db.Txn_id.Tbl.find_opt t.cells txn)
+  let c = Sim.Int_table.find t.cells (Db.Txn_id.key txn) in
+  if c == no_cell then None else Some (freeze c)
 
 let apply_order t ~site = List.rev (apply_log t ~site)
 
 let sites_applied t =
-  Hashtbl.fold (fun s _ acc -> s :: acc) t.applies []
-  |> List.sort Net.Site_id.compare
+  List.filter (fun s -> t.applies.(s) <> []) (Net.Site_id.all ~n:Net.Site_id.max_sites)
 
 let count_outcomes t =
   List.fold_left

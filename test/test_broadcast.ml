@@ -466,37 +466,60 @@ let test_order_fast_forward () =
   ignore (Broadcast.Order_state.adopt o2 [ (mid 3 1), 3 ]);
   check_int "stale assignment dropped" 0 (Broadcast.Order_state.pending_count o2)
 
+(* The packed message key names one id, and [of_key] unpacks it: every
+   pair of a random list over origins in [0, max_sites), the three
+   classes, and sequence numbers from a few up to far beyond any run's. *)
+let prop_msg_id_key_packs =
+  let module M = Broadcast.Msg_id in
+  QCheck.Test.make ~name:"msg id key is injective and unpacks" ~count:500
+    QCheck.(
+      list_of_size (Gen.int_range 2 40)
+        (triple (int_bound (Net.Site_id.max_sites - 1)) (int_bound 2)
+           (oneof [ int_bound 3; int_bound 100; int_bound (1 lsl 40) ])))
+    (fun triples ->
+      let cls = [| M.Reliable; M.Causal; M.Total |] in
+      let ids =
+        List.map (fun (origin, c, seq) -> { M.origin; cls = cls.(c); seq }) triples
+      in
+      List.for_all
+        (fun a ->
+          M.equal (M.of_key (M.key a)) a
+          && List.for_all (fun b -> (M.key a = M.key b) = M.equal a b) ids)
+        ids)
+
 (* Random call sequences for the hash-table rewrite and the map-and-list
    reference it replaced. Ids come from 4 origins x 6 seqs and slots from
    0-15, so repeated arrivals, duplicate ids, taken slots and slots below
    the delivery position are all common. An arrival's payload is its step
-   number. *)
+   number. Long scripts (64 seqs, 256 slots, up to 600 steps) build the
+   backlogs that make the arrival queue drop its assigned entries in
+   place. *)
 type order_op =
   | Arrive of Broadcast.Msg_id.t
   | Order of Broadcast.Msg_id.t * int
   | Adopt of (Broadcast.Msg_id.t * int) list
   | Fast_forward of int
 
-let order_space = List.concat (List.init 4 (fun o -> List.init 6 (mid o)))
+let order_space ~seqs = List.concat (List.init 4 (fun o -> List.init seqs (mid o)))
 
-let gen_order_ops seed =
+let gen_order_ops ?(seqs = 6) ?(slots = 16) ?(max_ops = 60) seed =
   let rng = Sim.Rng.create ~seed in
-  let id () = mid (Sim.Rng.int rng 4) (Sim.Rng.int rng 6) in
+  let id () = mid (Sim.Rng.int rng 4) (Sim.Rng.int rng seqs) in
   (* Half the assignments act like a sequencer: the oldest arrival not yet
      assigned gets the next slot in turn, so runs of deliveries happen too.
      The rest pair any id with any slot. *)
   let waiting = Queue.create () and turn = ref 0 in
   let assignment () =
     if Sim.Rng.bool rng || Queue.is_empty waiting then
-      (id (), Sim.Rng.int rng 16)
+      (id (), Sim.Rng.int rng slots)
     else begin
       let seq = !turn in
-      turn := (seq + 1) mod 16;
+      turn := (seq + 1) mod slots;
       (Queue.pop waiting, seq)
     end
   in
   List.init
-    (1 + Sim.Rng.int rng 60)
+    (1 + Sim.Rng.int rng max_ops)
     (fun _ ->
       match Sim.Rng.int rng 20 with
       | r when r < 9 ->
@@ -507,7 +530,7 @@ let gen_order_ops seed =
         let id, global_seq = assignment () in
         Order (id, global_seq)
       | r when r < 19 -> Adopt (List.init (Sim.Rng.int rng 5) (fun _ -> assignment ()))
-      | _ -> Fast_forward (Sim.Rng.int rng 17))
+      | _ -> Fast_forward (Sim.Rng.int rng (slots + 1)))
 
 let pp_order_op ppf = function
   | Arrive id -> Format.fprintf ppf "arrive %a" Broadcast.Msg_id.pp id
@@ -519,53 +542,67 @@ let pp_order_op ppf = function
       l
   | Fast_forward n -> Format.fprintf ppf "fast_forward %d" n
 
-(* After every step: the ready list, the counters, the unassigned arrivals
-   in order, every known assignment, and each id's assignment. *)
+(* After every step: the ready list, the counters, every known assignment,
+   and each id's assignment; the unassigned arrivals in order after every
+   [sweep_every]th step and the last, as a sequencer's sweeps would read
+   them (a site that is not the sequencer never does). *)
+let order_matches_reference ?(seqs = 6) ?slots ?max_ops ?(sweep_every = 1) seed =
+  let module O = Broadcast.Order_state in
+  let module R = Order_state_reference in
+  let o = O.create () and r = R.create () in
+  let ops = gen_order_ops ~seqs ?slots ?max_ops seed in
+  let step i op =
+    let got, want =
+      match op with
+      | Arrive id -> (O.note_arrival o id i, R.note_arrival r id i)
+      | Order (id, global_seq) ->
+        (O.note_order o id ~global_seq, R.note_order r id ~global_seq)
+      | Adopt l -> (O.adopt o l, R.adopt r l)
+      | Fast_forward next_deliver ->
+        O.fast_forward o ~next_deliver;
+        R.fast_forward r ~next_deliver;
+        ([], [])
+    in
+    let differs what =
+      QCheck.Test.fail_reportf "step %d (%a): %s differs after@.%a" i
+        pp_order_op op what
+        (Format.pp_print_list pp_order_op)
+        (List.filteri (fun j _ -> j <= i) ops)
+    in
+    if got <> want then differs "the ready list";
+    if O.next_deliver o <> R.next_deliver r then differs "next_deliver";
+    if O.max_assigned o <> R.max_assigned r then differs "max_assigned";
+    if O.pending_count o <> R.pending_count r then differs "pending_count";
+    let unordered = R.unordered_arrivals r in
+    if
+      ((i + 1) mod sweep_every = 0 || i = List.length ops - 1)
+      && O.unordered_arrivals o <> unordered
+    then differs "unordered_arrivals";
+    if O.unassigned_count o <> List.length unordered then
+      differs "unassigned_count";
+    if O.known_assignments o <> R.known_assignments r then
+      differs "known_assignments";
+    List.iter
+      (fun id ->
+        if O.assignment_of o id <> R.assignment_of r id then
+          differs (Format.asprintf "assignment_of %a" Broadcast.Msg_id.pp id))
+      (order_space ~seqs)
+  in
+  List.iteri step ops;
+  true
+
 let prop_order_matches_reference =
   QCheck.Test.make ~name:"order state matches the map-and-list reference"
     ~count:2000
     QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let module O = Broadcast.Order_state in
-      let module R = Order_state_reference in
-      let o = O.create () and r = R.create () in
-      let ops = gen_order_ops seed in
-      let step i op =
-        let got, want =
-          match op with
-          | Arrive id -> (O.note_arrival o id i, R.note_arrival r id i)
-          | Order (id, global_seq) ->
-            (O.note_order o id ~global_seq, R.note_order r id ~global_seq)
-          | Adopt l -> (O.adopt o l, R.adopt r l)
-          | Fast_forward next_deliver ->
-            O.fast_forward o ~next_deliver;
-            R.fast_forward r ~next_deliver;
-            ([], [])
-        in
-        let differs what =
-          QCheck.Test.fail_reportf "step %d (%a): %s differs after@.%a" i
-            pp_order_op op what
-            (Format.pp_print_list pp_order_op)
-            (List.filteri (fun j _ -> j <= i) ops)
-        in
-        if got <> want then differs "the ready list";
-        if O.next_deliver o <> R.next_deliver r then differs "next_deliver";
-        if O.max_assigned o <> R.max_assigned r then differs "max_assigned";
-        if O.pending_count o <> R.pending_count r then differs "pending_count";
-        let unordered = R.unordered_arrivals r in
-        if O.unordered_arrivals o <> unordered then differs "unordered_arrivals";
-        if O.unassigned_count o <> List.length unordered then
-          differs "unassigned_count";
-        if O.known_assignments o <> R.known_assignments r then
-          differs "known_assignments";
-        List.iter
-          (fun id ->
-            if O.assignment_of o id <> R.assignment_of r id then
-              differs (Format.asprintf "assignment_of %a" Broadcast.Msg_id.pp id))
-          order_space
-      in
-      List.iteri step ops;
-      true)
+    order_matches_reference
+
+let prop_order_long_backlogs =
+  QCheck.Test.make
+    ~name:"order state matches the map-and-list reference on long backlogs"
+    ~count:100
+    QCheck.(int_bound 1_000_000)
+    (order_matches_reference ~seqs:64 ~slots:256 ~max_ops:600 ~sweep_every:50)
 
 (* The generator reaches each case the property is meant to cover, in at
    least a tenth of the first 500 sequences. *)
@@ -577,10 +614,16 @@ let test_order_generator_coverage () =
     let saw case = Hashtbl.replace seen case () in
     let r = R.create () in
     let below_next seq = seq < R.next_deliver r in
-    let assign (id, seq) =
-      if R.assignment_of r id <> None then saw "duplicate id";
-      if R.Int_map.mem seq r.R.slot then saw "slot taken";
-      if below_next seq then saw "slot below next_deliver"
+    let assign ?(adopted = false) (id, seq) =
+      let fresh_id = R.assignment_of r id = None in
+      let fresh_slot = not (R.Int_map.mem seq r.R.slot) in
+      if not fresh_id then saw "duplicate id";
+      if not fresh_slot then saw "slot taken";
+      if below_next seq then saw "slot below next_deliver";
+      if fresh_id && fresh_slot then
+        if not (Broadcast.Msg_id.Map.mem id r.R.arrived) then
+          saw "order before its arrival"
+        else if adopted then saw "adopt orders a waiting arrival"
     in
     let run ready = if List.length ready > 1 then saw "run of deliveries" in
     List.iteri
@@ -595,7 +638,7 @@ let test_order_generator_coverage () =
           assign (id, global_seq);
           run (R.note_order r id ~global_seq)
         | Adopt l ->
-          List.iter assign l;
+          List.iter (assign ~adopted:true) l;
           run (R.adopt r l)
         | Fast_forward next_deliver ->
           let before = R.pending_count r in
@@ -619,6 +662,8 @@ let test_order_generator_coverage () =
       "duplicate id";
       "slot taken";
       "slot below next_deliver";
+      "order before its arrival";
+      "adopt orders a waiting arrival";
       "fast_forward drops an arrival";
     ]
 
@@ -1333,6 +1378,8 @@ let () =
           tc "fast forward" `Quick test_order_fast_forward;
           tc "generator coverage" `Quick test_order_generator_coverage;
           QCheck_alcotest.to_alcotest prop_order_matches_reference;
+          QCheck_alcotest.to_alcotest prop_order_long_backlogs;
+          QCheck_alcotest.to_alcotest prop_msg_id_key_packs;
         ] );
       ("view", [ tc "membership algebra" `Quick test_view ]);
       ( "endpoint",

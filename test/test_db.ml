@@ -781,7 +781,8 @@ let prop_lock_manager_matches_reference policy label =
 (* [Int_table] against [Hashtbl] under random replace/remove/clear over a
    small key range, so tables run near their 3/4 load limit and removals
    shift long probe runs: after every step, every key in the range finds
-   the same value (or the vacant one) and a fold lists the same bindings. *)
+   the same value (or the vacant one), a fold lists the same bindings, and
+   [length] counts them. *)
 
 type table_op = Put of int * int | Del of int | Wipe
 
@@ -800,30 +801,33 @@ let prop_int_table_matches_hashtbl =
                ])))
     (fun ops ->
       let vacant = -1 in
-      let t = Db.Int_table.create ~vacant and h = Hashtbl.create 16 in
+      let t = Sim.Int_table.create ~vacant and h = Hashtbl.create 16 in
       List.iteri
         (fun step op ->
           (match op with
           | Put (k, v) ->
-            Db.Int_table.replace t k v;
+            Sim.Int_table.replace t k v;
             Hashtbl.replace h k v
           | Del k ->
-            Db.Int_table.remove t k;
+            Sim.Int_table.remove t k;
             Hashtbl.remove h k
           | Wipe ->
-            Db.Int_table.clear t;
+            Sim.Int_table.clear t;
             Hashtbl.reset h);
           for k = -40 to 160 do
             let want = Option.value (Hashtbl.find_opt h k) ~default:vacant in
-            if Db.Int_table.find t k <> want then
+            if Sim.Int_table.find t k <> want then
               QCheck.Test.fail_reportf "after step %d: key %d finds %d, not %d"
-                step k (Db.Int_table.find t k) want
+                step k (Sim.Int_table.find t k) want
           done;
           let bindings =
-            List.sort compare (Db.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+            List.sort compare (Sim.Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
           in
           if bindings <> List.sort compare (List.of_seq (Hashtbl.to_seq h)) then
-            QCheck.Test.fail_reportf "after step %d: the bindings differ" step)
+            QCheck.Test.fail_reportf "after step %d: the bindings differ" step;
+          if Sim.Int_table.length t <> Hashtbl.length h then
+            QCheck.Test.fail_reportf "after step %d: length %d, not %d" step
+              (Sim.Int_table.length t) (Hashtbl.length h))
         ops;
       true)
 
@@ -835,15 +839,50 @@ let test_txn_id_order () =
   Alcotest.(check string) "pp" "T2.7" (Txn.to_string (txn_at 2 7))
 
 (* Hashing the record itself must keep every hash, and so every table's
-   iteration order, of the (origin, local) tuple. *)
+   iteration order, of the (origin, local) tuple. The records are built
+   directly: [make] rejects a negative [local]. *)
 let test_txn_id_hash () =
   for origin = 0 to 8 do
     for local = -2 to 2000 do
-      let t = txn_at origin local in
+      let t = { Txn.origin; local } in
       if Txn.hash t <> Hashtbl.hash (origin, local) then
         Alcotest.failf "hash of %s differs from its tuple's" (Txn.to_string t)
     done
   done
+
+let test_txn_id_make_ranges () =
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "make accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "origin -1" (fun () -> Txn.make ~origin:(-1) ~local:1);
+  rejects "origin max_sites" (fun () ->
+      Txn.make ~origin:Net.Site_id.max_sites ~local:1);
+  rejects "local -1" (fun () -> Txn.make ~origin:0 ~local:(-1));
+  let last = Txn.make ~origin:(Net.Site_id.max_sites - 1) ~local:0 in
+  check_int "origin max_sites - 1" (Net.Site_id.max_sites - 1) last.Txn.origin
+
+(* The packed key names one id and sorts as [compare]: every pair of a
+   random list, over origins in [0, max_sites) and locals from a few
+   (so that equal ids are common) up to far beyond any run's count. *)
+let prop_txn_id_key_packs =
+  QCheck.Test.make ~name:"txn id key is injective and ordered like compare"
+    ~count:500
+    QCheck.(
+      list_of_size (Gen.int_range 2 40)
+        (pair (int_bound (Net.Site_id.max_sites - 1))
+           (oneof [ int_bound 3; int_bound 100; int_bound (1 lsl 40) ])))
+    (fun pairs ->
+      let ids = List.map (fun (origin, local) -> Txn.make ~origin ~local) pairs in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              (Txn.key a = Txn.key b) = Txn.equal a b
+              && Int.compare (Txn.key a) (Txn.key b) = Txn.compare a b)
+            ids)
+        ids)
 
 let () =
   let tc = Alcotest.test_case in
@@ -898,5 +937,7 @@ let () =
         [
           tc "ordering" `Quick test_txn_id_order;
           tc "hash equals the tuple's" `Quick test_txn_id_hash;
+          tc "make rejects ids the key cannot pack" `Quick test_txn_id_make_ranges;
+          QCheck_alcotest.to_alcotest prop_txn_id_key_packs;
         ] );
     ]

@@ -199,6 +199,51 @@ let test_zipf_uniform_theta0 () =
     (fun c -> check_bool "roughly uniform" true (c > 1_600 && c < 2_400))
     counts
 
+(* The uniform generator computes its rank from [u]; the table [theta = 0]
+   used to build, by the same partial sums, searched as before, is the
+   reference. Draws include [u = 0], the largest [u] below 1, and the
+   entries' own values, where a product rounded up is one too high. *)
+let zipf_table ~n ~theta =
+  let cdf = Array.make n 0.0 in
+  let total = ref 0.0 in
+  for k = 0 to n - 1 do
+    total := !total +. (1.0 /. Float.pow (float_of_int (k + 1)) theta);
+    cdf.(k) <- !total
+  done;
+  Array.map (fun c -> c /. !total) cdf
+
+let table_index cdf u =
+  let rec search lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      if cdf.(mid) >= u then search lo mid else search (mid + 1) hi
+    end
+  in
+  search 0 (Array.length cdf - 1)
+
+let prop_uniform_zipf_matches_table =
+  QCheck.Test.make ~name:"uniform key draws match the table search" ~count:300
+    QCheck.(pair (int_range 1 10_000) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let gen = Sim.Rng.Zipf.create ~n ~theta:0.0 in
+      let rng = Sim.Rng.create ~seed in
+      let cdf = zipf_table ~n ~theta:0.0 in
+      let entry k = cdf.(k) in
+      let us =
+        [ 0.0; Float.pred 1.0; entry 0; entry (n / 2); entry (n - 1) ]
+        @ List.init 200 (fun _ -> Sim.Rng.float rng 1.0)
+        @ List.init 50 (fun _ -> entry (Sim.Rng.int rng n))
+      in
+      List.for_all
+        (fun u ->
+          u >= 1.0
+          ||
+          let got = Sim.Rng.Zipf.index gen u and want = table_index cdf u in
+          got = want
+          || QCheck.Test.fail_reportf "n=%d u=%h: rank %d, table %d" n u got want)
+        us)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -317,6 +362,7 @@ let () =
           tc "exponential mean" `Quick test_rng_exponential_mean;
           tc "zipf skew" `Quick test_zipf_skew;
           tc "zipf uniform at theta 0" `Quick test_zipf_uniform_theta0;
+          QCheck_alcotest.to_alcotest prop_uniform_zipf_matches_table;
         ] );
       ( "engine",
         [
