@@ -181,6 +181,9 @@ let run_cmd protocol n_sites txns mpl seed ro_fraction theta n_keys reads writes
   if n_sites < 1 then usage_error "--sites must be at least 1";
   if n_sites > Net.Site_id.max_sites then
     usage_error "--sites must be at most %d" Net.Site_id.max_sites;
+  if txns < 1 || mpl < 1 then usage_error "--txns/--mpl must be at least 1";
+  if not (ro_fraction >= 0.0 && ro_fraction <= 1.0) then
+    usage_error "--ro must be in [0, 1]";
   if n_keys < 1 then usage_error "--keys must be at least 1";
   if reads < 0 || writes < 0 then
     usage_error "--reads/--writes must be non-negative";
@@ -351,10 +354,16 @@ let run_term =
 (* ------------------------------------------------------------------ *)
 (* exper *)
 
+(* Simulation runs execute on the Parallel domain pool; exper's and fuzz's
+   --jobs pins its size for this invocation (same knob as BCASTDB_JOBS). *)
+let set_jobs = function
+  | None -> ()
+  | Some n when n < 1 || n > Parallel.max_jobs ->
+    usage_error "--jobs must be in [1, %d]" Parallel.max_jobs
+  | Some _ as jobs -> Parallel.set_jobs jobs
+
 let exper_cmd which quick markdown jobs =
-  (* Simulation runs execute on the Parallel domain pool; --jobs pins its
-     size for this invocation (same knob as BCASTDB_JOBS). *)
-  (match jobs with Some n -> Parallel.set_jobs (Some n) | None -> ());
+  set_jobs jobs;
   let experiments = Exper.Experiments.registry ~quick () in
   let selected =
     match which with
@@ -389,8 +398,8 @@ let exper_jobs =
     value
     & opt (some int) None
     & info [ "jobs"; "j" ]
-        ~doc:"domain pool size for simulation runs (default: BCASTDB_JOBS or \
-              the recommended domain count; 1 = sequential)")
+        ~doc:"domain pool size for simulation runs, 1 to 128 (default: \
+              BCASTDB_JOBS or the recommended domain count; 1 = sequential)")
 
 let exper_term = Term.(const exper_cmd $ which $ quick $ markdown $ exper_jobs)
 
@@ -400,7 +409,8 @@ let exper_term = Term.(const exper_cmd $ which $ quick $ markdown $ exper_jobs)
 let fuzz_cmd n_seeds seed_start jobs txns episodes protocol_names planted_bug
     audit batch_msgs batch_delay_us replay trace sample_every_us series =
   if n_seeds < 0 then usage_error "--seeds must be non-negative";
-  (match jobs with Some n -> Parallel.set_jobs (Some n) | None -> ());
+  if txns < 1 then usage_error "--txns must be at least 1";
+  set_jobs jobs;
   let protocols =
     match protocol_names with
     | [] -> Chaos.default_cfg.Chaos.protocols
@@ -506,8 +516,9 @@ let fuzz_jobs =
     value
     & opt (some int) None
     & info [ "jobs"; "j" ]
-        ~doc:"domain pool size (default: BCASTDB_JOBS or recommended; 1 = \
-              sequential). The report is byte-identical whatever the value.")
+        ~doc:"domain pool size, 1 to 128 (default: BCASTDB_JOBS or \
+              recommended; 1 = sequential). The report is byte-identical \
+              whatever the value.")
 
 let fuzz_txns =
   Arg.(

@@ -807,7 +807,6 @@ type load_row = {
   load_order_per_commit : float;
   load_contract_ok : bool;
   load_means : (string * float) list;
-  load_series : string;
 }
 
 (* Saturation setup: a 200us NIC serialization cost makes the interface —
@@ -863,13 +862,6 @@ let e15_table_of rows =
 (* ------------------------------------------------------------------ *)
 (* E16: saturation telemetry — where does the E15 curve bend, and why? *)
 
-type e16_knee = {
-  e16k_protocol : string;
-  e16k_batch : int;
-  e16k_resource : string;
-  e16k_ratio : float;
-}
-
 (* Resource key -> probe name. Per-site probes (bcast/db/proto) are summed
    across sites before averaging over the window: the question is how much
    of the resource the system holds, not where. *)
@@ -906,6 +898,11 @@ let e16_windowed_mean sampler ~window ~probe =
     in
     total /. float_of_int (List.length rows)
 
+let load_mean row key =
+  match List.assoc_opt key row.load_means with Some v -> v | None -> 0.0
+
+(* Per protocol (grid order): the knee cell's (protocol, batch) key and
+   its "resource xratio" label. *)
 let e16_knees rows =
   let protos =
     List.fold_left
@@ -931,22 +928,14 @@ let e16_knees rows =
         (* Attribute the knee to the resource that grew the most relative
            to the batch=1 run. The denominator floor of 1 keeps a resource
            that is absent at base (mean 0) from dominating on noise. *)
-        let mean_of r key =
-          match List.assoc_opt key r.load_means with Some v -> v | None -> 0.0
-        in
         let resource, ratio =
           List.fold_left
             (fun (bk, bv) (key, _) ->
-              let v = mean_of knee key /. Float.max (mean_of base key) 1.0 in
+              let v = load_mean knee key /. Float.max (load_mean base key) 1.0 in
               if v > bv then (key, v) else (bk, bv))
             ("none", neg_infinity) e16_resources
         in
-        {
-          e16k_protocol = p;
-          e16k_batch = knee.load_batch;
-          e16k_resource = resource;
-          e16k_ratio = ratio;
-        })
+        ((p, knee.load_batch), Printf.sprintf "%s x%.1f" resource ratio))
     protos
 
 let e16_table_of rows =
@@ -967,19 +956,10 @@ let e16_table_of rows =
   in
   List.iter
     (fun row ->
-      let mean key =
-        match List.assoc_opt key row.load_means with Some v -> v | None -> 0.0
-      in
+      let mean = load_mean row in
       let knee_cell =
-        match
-          List.find_opt
-            (fun k ->
-              k.e16k_protocol = row.load_protocol
-              && k.e16k_batch = row.load_batch)
-            knees
-        with
-        | Some k -> Printf.sprintf "%s x%.1f" k.e16k_resource k.e16k_ratio
-        | None -> ""
+        Option.value ~default:""
+          (List.assoc_opt (row.load_protocol, row.load_batch) knees)
       in
       T.add_row table
         [
@@ -1217,7 +1197,6 @@ let saturation ?(quick = false) () =
                   (fun (key, probe) ->
                     (key, e16_windowed_mean r.R.sampler ~window ~probe))
                   e16_resources;
-              load_series = Obs.Sampler.to_jsonl r.R.sampler;
             },
           e17_row_of ~protocol ~mode:"load" ~batch:size ~analytic:(-1)
             (paths r) ))

@@ -1,7 +1,7 @@
 (** The paper's evaluation, reproduced as tables.
 
     One function per experiment in DESIGN.md's index (E1–E14); each returns
-    the rendered table(s) that `bench/main.exe` prints and EXPERIMENTS.md
+    the rendered table(s) that [repdb_sim exper] prints and EXPERIMENTS.md
     records. E15–E17 render their tables from one shared {!saturation}
     sweep. [quick] shrinks the workloads for use inside the test suite;
     the default sizes are what the committed EXPERIMENTS.md numbers come
@@ -85,10 +85,6 @@ type load_row = {
   load_means : (string * float) list;
       (** windowed mean of each diagnosed resource's site-summed series,
           keyed [evq]/[nic_us]/[delay]/[order]/[waiters]/[outst] *)
-  load_series : string;
-      (** the cell's full telemetry time series, already rendered to the
-          JSONL schema of {!Obs.Sampler.to_jsonl} — the benchmark driver
-          writes the knee rows' series to [E16_series_<protocol>.jsonl] *)
 }
 (** One (protocol, batch size) cell of the saturation sweep: a single run
     feeds its E15 row and its E16 row. *)
@@ -101,25 +97,15 @@ val e15_table_of : load_row list -> Stats.Table.t
     committed throughput, p50/p95 commit latency, and the amortized
     sequencer order-datagram cost per committed transaction. *)
 
-type e16_knee = {
-  e16k_protocol : string;
-  e16k_batch : int;  (** first batch size whose tps gain falls under 15% *)
-  e16k_resource : string;  (** resource key with the largest growth factor *)
-  e16k_ratio : float;  (** its windowed mean at the knee / at batch=1
-                           (denominator floored at 1) *)
-}
-
-val e16_knees : load_row list -> e16_knee list
-(** Per protocol (grid order): locate the throughput knee and attribute it
-    to the resource whose windowed mean grew most versus the batch=1 run. *)
-
 val e16_table_of : load_row list -> Stats.Table.t
 (** E16, saturation telemetry: per (protocol, batch size) cell of the
     sweep, the measurement-window mean of six resource backlogs — engine
     event queue, NIC serialization backlog, causal delay-queue depth,
     total-order backlog, lock waiters, undecided transactions — plus a
     knee column marking where batching stops paying and which resource
-    saturated. *)
+    saturated: per protocol, the first batch size whose tps gain falls
+    under 15%, labelled with the resource whose windowed mean grew most
+    versus the batch=1 run (denominator floored at 1). *)
 
 type e17_row = {
   e17_protocol : string;
@@ -134,7 +120,7 @@ type e17_row = {
   e17_dominant : string;  (** segment with the largest total blame *)
   e17_max_residual_us : int;
       (** worst per-transaction unattributed time — ~0 by construction,
-          and the benchmark regression gate asserts it stays under 1 *)
+          and the test suite asserts it stays under 1 *)
   e17_rounds : int;
       (** tagged delivery hops on the walked path, identical across every
           path of the run (or -1: load rows, where unrelated traffic
@@ -172,12 +158,11 @@ val registry :
   unit ->
   (string * (unit -> Stats.Table.t)) list
 (** The experiments above, keyed by their DESIGN.md identifiers, in order,
-    but not yet run — drivers that want to time or select individual
-    experiments iterate this instead of duplicating the list. E15, E16
-    and E17 render from [sweep], forced by whichever of them runs first;
-    it defaults to a fresh [lazy (saturation ~quick ())], so one
-    registry runs the sweep at most once. Pass it to read the rows as
-    well as the tables. *)
+    but not yet run — [repdb_sim exper] selects from this instead of
+    duplicating the list. E15, E16 and E17 render from [sweep], forced by
+    whichever of them runs first; it defaults to a fresh
+    [lazy (saturation ~quick ())], so one registry runs the sweep at most
+    once. Pass it to read the rows as well as the tables. *)
 
 val all : ?quick:bool -> unit -> (string * Stats.Table.t) list
 (** Every experiment, keyed by its DESIGN.md identifier, in order.

@@ -87,6 +87,9 @@ let stop_pool pool =
 (* ------------------------------------------------------------------ *)
 (* Pool lifetime and sizing *)
 
+(* OCaml 5.1's Max_domains: Domain.spawn fails past it. *)
+let max_jobs = 128
+
 let override = ref None
 let the_pool = ref None
 
@@ -95,7 +98,7 @@ let env_jobs () =
   | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Some n
+    | Some n when n >= 1 && n <= max_jobs -> Some n
     | Some _ | None -> None)
 
 let jobs () =

@@ -19,10 +19,14 @@
     called from inside a worker (a nested map) degrades to sequential
     execution rather than deadlocking. *)
 
+val max_jobs : int
+(** 128, the most domains OCaml 5.1 can run at once. *)
+
 val jobs : unit -> int
 (** Effective parallelism the next {!map} will use: the {!set_jobs}
-    override if any, else [BCASTDB_JOBS] (when a positive integer), else
-    [Domain.recommended_domain_count ()]. Always at least 1. *)
+    override if any, else [BCASTDB_JOBS] (when an integer from 1 to
+    {!max_jobs}), else [Domain.recommended_domain_count ()]. Always at
+    least 1. *)
 
 val set_jobs : int option -> unit
 (** [set_jobs (Some n)] pins the pool size to [n] (clamped to >= 1),

@@ -81,7 +81,7 @@ def main():
     a = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = a.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"] if a.seconds is None else a.seconds
     if a.pairs < 1 or a.seed < 0 or seconds < 1:
         ap.error("PAIRS and --seconds must be >= 1, SEED >= 0")
     base_root = tempfile.mkdtemp(prefix="perf_ab.")

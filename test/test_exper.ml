@@ -278,7 +278,8 @@ let quick_sweep = lazy (Exper.Experiments.saturation ~quick:true ())
 
 let test_saturation_rows_share_runs () =
   (* E15 and E16 render the same run of each (protocol, batch) cell, so
-     their shared leading columns must read the same, row for row *)
+     their shared leading columns must read the same, row for row; and
+     every cell's audited run keeps the broadcast contracts *)
   let module E = Exper.Experiments in
   let s = Lazy.force quick_sweep in
   let shared table =
@@ -300,11 +301,19 @@ let test_saturation_rows_share_runs () =
     (List.length e15);
   check_bool "cells swept" true (List.length e15 > 1);
   Alcotest.(check (list (list string))) "E16's shared columns are E15's" e15
-    e16
+    e16;
+  List.iter
+    (fun (r : E.load_row) ->
+      check_bool
+        (Printf.sprintf "%s/batch=%d: broadcast contract holds"
+           r.E.load_protocol r.E.load_batch)
+        true r.E.load_contract_ok)
+    s.E.load_rows
 
 let test_saturation_e17_rows () =
-  (* E17's isolated rows come first; then one load row per E15 cell, in
-     E15's order, profiling every commit of that cell's run *)
+  (* E17's isolated rows come first, each walking E14's closed-form round
+     depth; then one load row per E15 cell, in E15's order, profiling
+     every commit of that cell's run *)
   let module E = Exper.Experiments in
   let s = Lazy.force quick_sweep in
   let isolated, load =
@@ -312,6 +321,12 @@ let test_saturation_e17_rows () =
   in
   check_int "three isolated rows" 3 (List.length isolated);
   check_bool "isolated rows first" true (s.E.e17_rows = isolated @ load);
+  List.iter
+    (fun (r : E.e17_row) ->
+      check_int
+        (r.E.e17_protocol ^ " isolated: walked rounds match E14's closed form")
+        r.E.e17_analytic_rounds r.E.e17_rounds)
+    isolated;
   Alcotest.(check (list (pair string int)))
     "one load row per E15 cell"
     (List.map (fun r -> (r.E.load_protocol, r.E.load_batch)) s.E.load_rows)

@@ -16,7 +16,19 @@ let test_jobs_resolution () =
   Parallel.set_jobs (Some 0);
   check_int "clamped to 1" 1 (Parallel.jobs ());
   Parallel.set_jobs None;
-  check_bool "reverts to default" true (Parallel.jobs () >= 1)
+  check_bool "reverts to default" true (Parallel.jobs () >= 1);
+  (* BCASTDB_JOBS past OCaml 5.1's 128 domains is ignored like any other
+     invalid value. Resolving spawns nothing. *)
+  let saved = Option.value ~default:"" (Sys.getenv_opt "BCASTDB_JOBS") in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "BCASTDB_JOBS" saved)
+    (fun () ->
+      Unix.putenv "BCASTDB_JOBS" "";
+      let default = Parallel.jobs () in
+      Unix.putenv "BCASTDB_JOBS" "128";
+      check_int "env at the cap" 128 (Parallel.jobs ());
+      Unix.putenv "BCASTDB_JOBS" "129";
+      check_int "env past the cap ignored" default (Parallel.jobs ()))
 
 let test_map_order_preserved () =
   with_jobs 4 (fun () ->
